@@ -3,23 +3,26 @@
 Matrices travel as ``{"dim": n, "entries": [[re, im], ...]}`` in row-major
 order; state vectors as ``{"dim": n, "amplitudes": [[re, im], ...]}``.
 Operator payloads add an integer ``"trace_class"``.  Readers are strict:
-wrong-length entry arrays, non-numeric components, and malformed structure
-all raise :class:`SerializationError`.
+wrong-length entry arrays, non-numeric components, non-finite or
+out-of-range numbers, and malformed structure all raise
+:class:`SerializationError` (the CLI reports it as malformed input, exit 2).
 
-Output is deterministic: keys are emitted in a fixed order and floats use
-the shortest round-trip representation, so identical inputs produce
-byte-identical payloads.
+Output is deterministic and byte-identical to ``json.dumps(payload,
+indent=2)`` plus a trailing newline: keys are emitted in a fixed order and
+floats use the shortest round-trip representation, so identical inputs
+produce byte-identical payloads.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .dynamics import BeatSample
 from .errors import SerializationError
-from .interferometer import FringeRecord, HolographicReport, RecoveryResult
+from .interferometer import FringeRecord, HolographicReport
 from .operators import (
     EigenschaftOp,
     ProjectorDecomposition,
@@ -28,10 +31,135 @@ from .operators import (
 )
 from .states import Classification, Decomposition, StateVector
 
+_INDENT = "  "
+_NUMBER_TYPES = {int, float}
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+#: Rows per C-encoder call: about 40 kB of compact text for [re, im] rows.
+_ROWS_PER_CALL = 1024
+
 
 def dumps(payload) -> str:
-    """Stable JSON text: two-space indent, fixed key order, trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Stable JSON text: two-space indent, fixed key order, trailing newline.
+
+    The text equals ``json.dumps(payload, indent=2) + "\\n"``.  With an
+    indent, :mod:`json` falls back to its pure-Python encoder; here lists of
+    number lists (matrix entries, amplitudes) go through the C encoder a
+    block of rows at a time instead, and everything else is laid out
+    directly.
+    """
+    out: list[str] = []
+    _emit(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True or key is False or key is None:
+        return _encode_str(json.dumps(key))
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _emit(o, level: int, out: list[str]) -> None:
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        _emit_list(o, level, out)
+    elif isinstance(o, dict):
+        _emit_dict(o, level, out)
+    else:
+        raise TypeError(
+            f"Object of type {o.__class__.__name__} is not JSON serializable"
+        )
+
+
+def _emit_list(items, level: int, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    if _emit_number_rows(items, level, out):
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _emit(item, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + _INDENT * level + "]")
+
+
+def _emit_dict(d, level: int, out: list[str]) -> None:
+    if not d:
+        out.append("{}")
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    sep = "{" + inner
+    for key, value in d.items():
+        out.append(sep + _key_text(key) + ": ")
+        _emit(value, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + _INDENT * level + "}")
+
+
+def _emit_number_rows(items, level: int, out: list[str]) -> bool:
+    """Append the indented text of a non-empty list of non-empty number
+    lists and return True; return False, appending nothing, for any other
+    list.
+
+    Each block of ``_ROWS_PER_CALL`` rows is encoded compactly by the C
+    encoder, re-indented by two replacements (safe because no int or float
+    text contains ``,``, ``[`` or ``]``) and split into one piece per row.
+    The pieces are small objects for Python's own allocator, and the
+    block-sized texts are freed before the next block, so a large payload
+    leaves no large freed blocks in the C heap, whose later reuse, and with
+    it the process's peak memory, would vary from run to run.
+    """
+    if set(map(type, items)) != {list} or not all(items):
+        return False
+    if not set(map(type, chain.from_iterable(items))) <= _NUMBER_TYPES:
+        return False
+    outer = "\n" + _INDENT * level
+    row = outer + _INDENT
+    num = row + _INDENT
+    row_sep = row + "]," + row + "[" + num
+    out.append("[" + row + "[" + num)
+    for start in range(0, len(items), _ROWS_PER_CALL):
+        if start:
+            out.append(row_sep)
+        text = _encode_compact(items[start:start + _ROWS_PER_CALL])
+        out.extend(text[2:-2].replace(",", "," + num).replace(
+            "]," + num + "[", row_sep + "\0"
+        ).split("\0"))
+    out.append(row + "]" + outer + "]")
+    return True
 
 
 def _require_dict(d, what: str) -> dict:
@@ -54,7 +182,24 @@ def _pairs_to_complex(raw, count: int, what: str) -> np.ndarray:
         raise SerializationError(
             f"{what} has {len(raw)} entries, expected {count}"
         )
-    values = np.empty(count, dtype=complex)
+    # Bulk checks on exact types first.  Anything else, a bad entry or a
+    # valid but unusual one such as a float subclass, takes the scan, which
+    # names the first bad entry.
+    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+            and set(map(type, chain.from_iterable(raw))) <= _NUMBER_TYPES):
+        try:
+            pairs = np.array(raw, dtype=float)
+        except OverflowError:
+            pairs = None
+        if pairs is not None and np.isfinite(pairs).all():
+            # float64 pairs viewed as complex128 keep every bit, -0.0 included.
+            return pairs.view(complex).reshape(count)
+    return _scan_pairs(raw, what)
+
+
+def _scan_pairs(raw: list, what: str) -> np.ndarray:
+    """Entry-by-entry reader; raises at the first bad entry, by index."""
+    values = np.empty(len(raw), dtype=complex)
     for k, pair in enumerate(raw):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise SerializationError(
@@ -66,7 +211,10 @@ def _pairs_to_complex(raw, count: int, what: str) -> np.ndarray:
                 raise SerializationError(
                     f"{what}[{k}] components must be numbers"
                 )
-        z = complex(float(re), float(im))
+        try:
+            z = complex(float(re), float(im))
+        except OverflowError:
+            raise SerializationError(f"{what}[{k}] must be finite") from None
         if not (np.isfinite(z.real) and np.isfinite(z.imag)):
             raise SerializationError(f"{what}[{k}] must be finite")
         values[k] = z
@@ -74,7 +222,8 @@ def _pairs_to_complex(raw, count: int, what: str) -> np.ndarray:
 
 
 def _complex_to_pairs(values) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel()]
+    flat = np.asarray(values, dtype=complex).ravel()
+    return flat.view(float).reshape(-1, 2).tolist()
 
 
 def matrix_to_dict(m) -> dict:
@@ -180,23 +329,6 @@ def classification_to_dict(c: Classification) -> dict:
         "kind": c.kind,
         "purity": float(c.purity),
         "rho_dispersion": float(c.rho_dispersion),
-    }
-
-
-def recovery_to_dict(result: RecoveryResult) -> dict:
-    rec, diag = result.state, result.diagnostics
-    return {
-        "recovered": {
-            "mag1": float(rec.mag1),
-            "mag2": float(rec.mag2),
-            "relative_phase": float(rec.relative_phase),
-        },
-        "diagnostics": {
-            "residual_rms": float(diag.residual_rms),
-            "offset": float(diag.offset),
-            "visibility": float(diag.visibility),
-            "ambiguous": bool(diag.ambiguous),
-        },
     }
 
 

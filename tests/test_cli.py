@@ -18,6 +18,7 @@ DIAG_OP = str(DATA / "diag_op.json")
 EQUAL_STATE = str(DATA / "equal_state.json")
 E1_STATE = str(DATA / "e1_state.json")
 RHO_TILDE = str(DATA / "rho_tilde.json")
+STD3_PROJECTORS = str(DATA / "std3_projectors.json")
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,13 @@ class TestConstruct:
         )
         assert code == 0
         assert json.loads(single) == members[2]
+
+    def test_kron_family_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "construct", "kron", "--a", HADAMARD_OP, "--b", HADAMARD_OP
+        )
+        assert code == 0
+        assert out == golden("construct_kron.json")
 
     def test_byte_stable_output(self, capsys):
         _, first, _ = run_cli(capsys, "construct", "h2", "--gamma", "30", "--dphi", "45")
@@ -206,6 +214,16 @@ class TestConvert:
         assert len(members) == 2
         total = sum(matrix_from_dict(m) for m in members)
         assert max_abs(total - 0.0) <= 1e-12  # dim 2: sum of I-2P_i is zero
+
+    def test_standard_basis_flip_family_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "convert", "--projectors", STD3_PROJECTORS)
+        assert code == 0
+        assert out == golden("convert_flip_std3.json")
+        members = [matrix_from_dict(m) for m in json.loads(out)["members"]]
+        for i, m in enumerate(members):
+            expected = np.eye(3)
+            expected[i, i] = -1.0
+            assert max_abs(m - expected) == 0.0
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "convert")
@@ -379,6 +397,30 @@ class TestPipeline:
         assert rebuild.returncode == 0, rebuild.stderr
         m = matrix_from_dict(json.loads(rebuild.stdout))
         assert max_abs(m - np.array([[1, 1], [1, -1]]) / np.sqrt(2)) <= 1e-9
+
+
+class TestOverflowingNumbers:
+    """A number too large for a float is malformed input, not a crash."""
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["validate"], '{"dim": 1, "entries": [[%s, 0]]}', "entries[0] must be finite"),
+        (["simulate", "--phases", "8", "--state"],
+         '{"dim": 2, "amplitudes": [[1.0, 0.0], [0, %s]]}',
+         "amplitudes[1] must be finite"),
+    ], ids=["validate-entries", "simulate-amplitudes"])
+    def test_exit_2_without_traceback(self, tmp_path, argv, payload, message):
+        f = tmp_path / "huge.json"
+        f.write_text(payload % self.HUGE)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft", *argv, str(f)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"malformed input: {message}\n"
 
 
 class TestUsageErrors:
