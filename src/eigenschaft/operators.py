@@ -141,6 +141,38 @@ class EigenschaftOp:
                    multiplicities=(n_plus, n - n_plus))
 
 
+def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
+    """First pair ``(i, j)``, ``i < j``, in row-major order with
+    ``max_abs(P_i @ P_j) > TOL_INV``, or None.
+
+    Each member is read as ``v_k v_k^dag + E_k``, with ``v_k`` its
+    largest-diagonal column scaled to unit length.  With ``e_k = max|E_k|``,
+    ``m_k = max|v_k|`` and ``G = V^dag V``, every entry of ``P_i P_j`` is at
+    most ``|G_ij| m_i m_j + n (e_i m_j^2 + m_i^2 e_j + e_i e_j)``.  Only pairs
+    whose bound exceeds ``TOL_INV / 2`` (the half absorbs rounding in ``G``
+    and ``e``) get the exact product, so the verdict and the first failing
+    pair are those of checking every pair, at O(n^3) for a sound frame.
+    The members must already have passed the Hermitian and unit-trace
+    gates, which make each largest diagonal entry positive.
+    """
+    stack = np.stack(mats)
+    n = stack.shape[0]
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    pivots = np.argmax(diag, axis=1)
+    members = np.arange(n)
+    v = stack[members, :, pivots] / np.sqrt(diag[members, pivots])[:, None]
+    e = np.abs(stack - v[:, :, None] * v.conj()[:, None, :]).max(axis=(1, 2))
+    e = e[:, None]
+    m = np.abs(v).max(axis=1)[:, None]
+    mm = m * m
+    bound = (np.abs(v.conj() @ v.T) * (m * m.T)
+             + n * (e * mm.T + mm * e.T + e * e.T))
+    for i, j in zip(*np.nonzero(np.triu(bound > TOL_INV / 2.0, k=1))):
+        if max_abs(mats[i] @ mats[j]) > TOL_INV:
+            return int(i), int(j)
+    return None
+
+
 @dataclass(frozen=True)
 class ProjectorSet:
     """A complete orthogonal family of one-dimensional projectors.
@@ -148,6 +180,14 @@ class ProjectorSet:
     Validation enforces: each member Hermitian, idempotent, unit trace
     (rank one); mutual orthogonality; and completeness (the members sum to
     the identity), which together force exactly ``dim`` members.
+
+    Orthogonality (``max_abs(P_i @ P_j) <= TOL_INV`` for every pair) is
+    screened through the unit frame read off the members, with one Gram
+    product and an entrywise bound per pair; a pair is multiplied out only
+    when its bound does not clear the gate.  A sound family thus costs
+    O(n^3) for orthogonality instead of n(n-1)/2 products, and a failing
+    one gets the exact product and the same message as a pairwise check.
+    The members are stored as given, read-only.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -171,12 +211,11 @@ class ProjectorSet:
                 raise DomainError(f"projector {i} is not idempotent")
             if abs(complex(np.trace(p)) - 1.0) > 1e-8:
                 raise DomainError(f"projector {i} is not rank one")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if max_abs(mats[i] @ mats[j]) > TOL_INV:
-                    raise DomainError(
-                        f"projectors {i} and {j} are not orthogonal"
-                    )
+        pair = _first_orthogonality_failure(mats)
+        if pair is not None:
+            raise DomainError(
+                f"projectors {pair[0]} and {pair[1]} are not orthogonal"
+            )
         if max_abs(sum(mats) - np.eye(n)) > TOL_INV:
             raise DomainError("projectors do not resolve the identity")
         mats = tuple(p.copy() for p in mats)
@@ -366,23 +405,85 @@ def from_projector_flip(ps: ProjectorSet, signs) -> EigenschaftOp:
     return EigenschaftOp.from_matrix(h)
 
 
+def _eigenbasis(h: np.ndarray, n_minus: int) -> np.ndarray:
+    """Orthonormal columns spanning the range of ``(I - h)/2`` (the first
+    ``n_minus``) and then the range of ``(I + h)/2`` (the rest).
+
+    Pivoted modified Gram-Schmidt: each step takes the remaining column of
+    largest norm (ties to the lowest index), orthogonalises it once more
+    against every column taken so far, and sweeps it out of the remaining
+    columns.  The second range starts with the first one projected out.
+
+    What remains of a projector of rank ``r`` after ``k < r`` of its
+    directions are swept out is a projector of rank ``r - k``, whose largest
+    column has squared norm at least ``1/n``.  A pivot below ``1/(2n)``
+    means the range is short of the rank the trace promised, so ``h`` is
+    no involution; it raises ``DomainError`` rather than normalising a
+    vanishing column.
+    """
+    n = h.shape[0]
+    eye = np.eye(n, dtype=complex)
+    basis = np.empty((n, n), dtype=complex)
+    floor = 0.5 / n
+    for start, stop, sign in ((0, n_minus, "-"), (n_minus, n, "+")):
+        p = (eye - h) / 2.0 if sign == "-" else (eye + h) / 2.0
+        taken = basis[:, :start]
+        a = p - taken @ (taken.conj().T @ p)
+        for k in range(start, stop):
+            col = a[:, np.argmax(np.einsum("ij,ij->j", a.conj(), a).real)]
+            taken = basis[:, :k]
+            col = col - taken @ (taken.conj().T @ col)
+            norm2 = np.vdot(col, col).real
+            if not norm2 > floor:
+                raise DomainError(
+                    f"range of (I {sign} H)/2 has rank below {stop - start}; "
+                    "input is not an involution"
+                )
+            col = col / np.sqrt(norm2)
+            basis[:, k] = col
+            a -= col[:, None] * (col.conj() @ a)
+    return basis
+
+
 def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     """Spectral resolution of an involution into rank-1 projectors.
 
-    Inside degenerate eigenspaces the projector basis is arbitrary; only
-    sign-weighted sums (which reproduce the operator) are canonical.
+    The eigenspaces of an involution are the ranges of ``P- = (I - H)/2``
+    and ``P+ = (I + H)/2``, of ranks ``n_minus`` and ``n_plus``.  Their
+    orthonormal bases come from pivoted modified Gram-Schmidt with one
+    re-orthogonalisation, O(n^3) in all; a range short of its rank (which
+    only a matrix that is no involution can give) raises ``DomainError``
+    there.  The Rayleigh quotient ``V^dag H V`` of the joint basis is then
+    handed to :func:`hermitian_eig`: for an involution exact to rounding it is
+    diagonal below the Jacobi threshold, so the solver only sorts and
+    checks it, while a near-involution gets the rotations that make the
+    columns eigenvectors of ``H``.  Its eigenvalues are those
+    of ``H``, so the gate is the one a direct eigensolve gives: the input
+    Hermitian within ``TOL_HERM`` and every eigenvalue within 1e-8 of +-1,
+    whatever tolerance admitted the operator.  Signs come out ascending,
+    ``(-1,) * n_minus + (1,) * n_plus``.
+
+    Inside each eigenspace the basis is deterministic but not canonical;
+    only sign-weighted sums (which reproduce the operator) are canonical.
     """
-    spectrum = hermitian_eig(op.matrix)
+    herm = hermiticity_residual(op.matrix)
+    if herm > TOL_HERM:
+        raise DomainError(
+            f"matrix is not Hermitian within {TOL_HERM:g} (residual {herm:.3e})"
+        )
+    h = (op.matrix + op.matrix.conj().T) / 2.0
+    basis = _eigenbasis(h, op.multiplicities[1])
+    spectrum = hermitian_eig(basis.conj().T @ h @ basis)
     signs = []
     for lam in spectrum.eigenvalues:
         k = 1 if lam > 0 else -1
-        if abs(lam - k) > 1e-8:
+        if not abs(lam - k) <= 1e-8:
             raise DomainError(
                 f"eigenvalue {lam!r} is not within 1e-8 of +-1; "
                 "input is not an involution"
             )
         signs.append(k)
-    cols = spectrum.eigenvectors
+    cols = basis @ spectrum.eigenvectors
     projectors = tuple(
         np.outer(cols[:, k], cols[:, k].conj()) for k in range(op.dim)
     )

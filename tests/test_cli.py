@@ -168,6 +168,39 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", str(f), "--strict")
         assert code == 0
 
+    def test_env_tolerance_does_not_loosen_projector_gate(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # The relaxed tolerance admits the operator, but its eigenvalues
+        # sit about 7e-8 from +-1, past the fixed 1e-8 spectral gate.
+        m = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        m[0, 1] += 1e-7
+        m[1, 0] += 1e-7
+        f = tmp_path / "near.json"
+        f.write_text(json.dumps({
+            "dim": 2,
+            "entries": [[float(x), 0.0] for x in m.ravel()],
+        }))
+        monkeypatch.setenv("EIGENSCHAFT_TOL", "1e-3")
+        code, out, err = run_cli(capsys, "convert", "--op", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_env_tolerance_does_not_admit_short_eigenspace(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # A gate of 10 admits diag(-1, -1, 3) (involution residual 8,
+        # trace class 1), whose +1 eigenspace is one state short.
+        f = tmp_path / "short.json"
+        f.write_text(json.dumps({
+            "dim": 3,
+            "entries": [[float(x), 0.0] for x in np.diag([-1.0, -1.0, 3.0]).ravel()],
+        }))
+        monkeypatch.setenv("EIGENSCHAFT_TOL", "10")
+        code, out, err = run_cli(capsys, "convert", "--op", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bad_env_tolerance_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENSCHAFT_TOL", "banana")
         code, _, err = run_cli(capsys, "validate", HADAMARD_OP, "--strict")

@@ -3,6 +3,11 @@ import pytest
 
 from eigenschaft.errors import ConstructionError, DomainError, ShapeError
 from eigenschaft.linalg import (
+    _JACOBI_OFF_TOL,
+    TOL_HERM,
+    TOL_INV,
+    TOL_ORTHO,
+    as_square,
     hermiticity_residual,
     involution_residual,
     max_abs,
@@ -28,6 +33,50 @@ from eigenschaft.operators import (
 from helpers import haar_unitary, random_hermitian, random_involution, random_signs
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
+def pairwise_verdict(projectors):
+    """Reference for ``ProjectorSet`` validation: every member, then every
+    pair ``(i, j)`` multiplied out in row-major order, then completeness.
+    Returns the message of the first failing gate, or None."""
+    mats = [as_square(p) for p in projectors]
+    n = mats[0].shape[0]
+    for i, p in enumerate(mats):
+        if hermiticity_residual(p) > TOL_HERM:
+            return f"projector {i} is not Hermitian"
+        if max_abs(p @ p - p) > TOL_INV:
+            return f"projector {i} is not idempotent"
+        if abs(complex(np.trace(p)) - 1.0) > 1e-8:
+            return f"projector {i} is not rank one"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if max_abs(mats[i] @ mats[j]) > TOL_INV:
+                return f"projectors {i} and {j} are not orthogonal"
+    if max_abs(sum(mats) - np.eye(n)) > TOL_INV:
+        return "projectors do not resolve the identity"
+    return None
+
+
+def library_verdict(projectors):
+    try:
+        ProjectorSet(tuple(projectors))
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def frame_projectors(frame):
+    return [np.outer(frame[:, k], frame[:, k].conj()) for k in range(frame.shape[1])]
+
+
+def frame_of(projectors):
+    """Unit vectors read off rank-1 projectors: the largest-diagonal column
+    of each, scaled to unit length, as the columns of a matrix."""
+    cols = []
+    for p in projectors:
+        j = int(np.argmax(np.real(np.diag(p))))
+        cols.append(p[:, j] / np.sqrt(p[j, j].real))
+    return np.column_stack(cols)
 
 
 class TestEigenschaftOp:
@@ -224,6 +273,65 @@ class TestProjectorSet:
             ProjectorSet((np.diag([1.0, 0.0]),))
 
 
+class TestProjectorSetMatchesPairwise:
+    """The frame screen gives the verdict and the first message of the
+    pairwise reference on every input."""
+
+    @staticmethod
+    def check(projectors):
+        want = pairwise_verdict(projectors)
+        assert library_verdict(projectors) == want
+        return want
+
+    def test_duplicated_member(self):
+        p0, p1 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+        assert self.check([p0, p1, p1]) == "projectors 1 and 2 are not orthogonal"
+        # Pairs (0, 3) and (1, 2) both fail; row-major order names (0, 3).
+        q0, q1 = np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0])
+        assert self.check([q0, q1, q1, q0]) == "projectors 0 and 3 are not orthogonal"
+
+    def test_rank_two_member(self):
+        assert self.check([np.diag([1.0, 1.0]), np.diag([0.0, 0.0])]) == (
+            "projector 0 is not rank one")
+
+    def test_non_hermitian_member(self):
+        mats = frame_projectors(haar_unitary(4, np.random.default_rng(60)))
+        mats[2] = mats[2].copy()
+        mats[2][0, 1] += 1e-9
+        assert self.check(mats) == "projector 2 is not Hermitian"
+
+    def test_planted_idempotence_error(self):
+        rng = np.random.default_rng(61)
+        mats = frame_projectors(haar_unitary(5, rng))
+        x = random_hermitian(5, rng)
+        x -= np.trace(x) / 5 * np.eye(5)
+        mats[3] = mats[3] + 1e-9 * x / max_abs(x)
+        assert self.check(mats) == "projector 3 is not idempotent"
+
+    def test_sound_frames(self):
+        rng = np.random.default_rng(62)
+        assert self.check(frame_projectors(HADAMARD)) is None  # tied diagonal
+        for n in (1, 2, 5, 16, 64):
+            assert self.check(frame_projectors(haar_unitary(n, rng))) is None
+
+    @pytest.mark.parametrize("n", [2, 7, 31, 64])
+    def test_column_rotated_into_neighbour(self, n):
+        """Rotating column k towards column k+1 by eps makes ``P_k P_{k+1}``
+        about ``eps |v_k| |v_{k+1}|`` and the sum's error about twice that:
+        the angles straddle the TOL_INV gate at every size, and at n=31
+        ``eps = 5e-10`` fails only completeness."""
+        rng = np.random.default_rng(63 + n)
+        frame = haar_unitary(n, rng)
+        k = n // 2
+        verdicts = set()
+        for eps in (1e-13, 1e-11, 1e-10, 3e-10, 5e-10, 1e-9, 1e-7):
+            bent = frame.copy()
+            bent[:, k] = np.cos(eps) * frame[:, k] + np.sin(eps) * frame[:, (k + 1) % n]
+            verdicts.add(self.check(frame_projectors(bent)))
+        assert None in verdicts
+        assert len(verdicts) > 1
+
+
 class TestProjectorRoundtrip:
     def test_standard_basis_flip(self):
         ps = ProjectorSet.standard_basis(3)
@@ -279,6 +387,94 @@ class TestProjectorRoundtrip:
                 rebuilt = from_projector_flip(pd.projectors, pd.signs)
                 assert max_abs(rebuilt.matrix - m) <= 1e-9
                 assert rebuilt.trace_class == op.trace_class
+
+
+def _domain_cases():
+    for n in (1, 2, 3, 16, 33, 64):
+        classes = {n, -n, n - 2, 2 - n, n % 2, -(n % 2)}
+        for tc in sorted(classes):
+            yield n, tc
+
+
+class TestToProjectorsDomain:
+    @pytest.mark.parametrize("n,trace_class", list(_domain_cases()))
+    def test_closed_form_basis(self, n, trace_class):
+        m = random_involution(n, np.random.default_rng(70 + 3 * n + trace_class),
+                              trace_class=trace_class)
+        op = EigenschaftOp.from_matrix(m)
+        pd = to_projectors(op)
+        again = to_projectors(op)
+
+        rebuilt = from_projector_flip(pd.projectors, pd.signs)
+        assert max_abs(rebuilt.matrix - m) <= 1e-9
+        v = frame_of(pd.projectors.projectors)
+        assert max_abs(v.conj().T @ v - np.eye(n)) <= TOL_ORTHO
+        n_plus, n_minus = op.multiplicities
+        assert pd.signs == (-1,) * n_minus + (1,) * n_plus
+        assert again.signs == pd.signs
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(pd.projectors.projectors, again.projectors.projectors))
+        # Each member's vector is an eigenvector of H for its sign, and the
+        # frame diagonalises H below the eigensolver's rotation threshold.
+        assert max_abs(m @ v - v * np.array(pd.signs)) <= 1e-13
+        t = v.conj().T @ m @ v
+        assert max_abs(t - np.diag(np.diag(t))) < _JACOBI_OFF_TOL
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("eps", [1e-7, 1e-6])
+    @pytest.mark.parametrize("shape", ["scaled", "split"])
+    def test_relaxed_tolerance_keeps_spectral_gate(self, n, eps, shape):
+        """A loosened operator gate admits both near-involutions; neither
+        passes the fixed 1e-8 projector gate.
+
+        ``scaled`` is ``(1 + eps) H``, eigenvalues ``+-(1 + eps)``.
+        ``split`` couples two states of one eigenspace of a diagonal
+        involution by ``eps``: the eigenvalue splits to ``1 +- eps``, while
+        the Rayleigh quotients of the pivoted basis stay within ``eps**2``
+        of 1, so only the eigenvalues of ``V^dag H V`` show it."""
+        if shape == "scaled":
+            m = (1.0 + eps) * random_involution(n, np.random.default_rng(80 + n),
+                                                trace_class=0)
+        else:
+            m = np.diag([1.0, 1.0] + [-1.0, 1.0] * ((n - 2) // 2)).astype(complex)
+            m[0, 1] = m[1, 0] = eps
+        op = EigenschaftOp.from_matrix(m, tol_inv=1e-3, tol_herm=1e-3)
+        with pytest.raises(DomainError, match="not within 1e-8 of"):
+            to_projectors(op)
+
+    def test_range_short_of_its_rank_is_refused(self):
+        """``diag(-1, -1, 3)`` has trace 1, so the trace promises two +1
+        directions, but ``(I + H)/2`` has rank one.  Refused before any
+        column is normalised, whether a loose gate or the plain
+        constructor admitted it."""
+        m = np.diag([-1.0, -1.0, 3.0])
+        loose = EigenschaftOp.from_matrix(m, tol_inv=10.0, tol_herm=10.0)
+        plain = EigenschaftOp(m, trace_class=1, multiplicities=(2, 1))
+        for op in (loose, plain):
+            with pytest.raises(DomainError, match="not an involution"):
+                to_projectors(op)
+        short_minus = EigenschaftOp(np.diag([1.0, 1.0, -3.0]), trace_class=-1,
+                                    multiplicities=(1, 2))
+        with pytest.raises(DomainError, match="not an involution"):
+            to_projectors(short_minus)
+
+    def test_relaxed_tolerance_keeps_hermiticity_gate(self):
+        m = random_involution(8, np.random.default_rng(90), trace_class=2)
+        m[0, 1] += 1e-9
+        op = EigenschaftOp.from_matrix(m, tol_inv=1e-3, tol_herm=1e-3)
+        with pytest.raises(DomainError, match="not Hermitian within 1e-10"):
+            to_projectors(op)
+
+    def test_relaxed_tolerance_admits_exact_spectrum(self):
+        """Coupling the two eigenspaces of ``diag(1, -1)`` by 1e-7 moves
+        the eigenvalues by only 5e-15: admitted, and the projectors are
+        those of the perturbed matrix (roundtrip at the size of that move),
+        not the ranges of ``(I +- H)/2``, which would miss by 5e-8."""
+        m = np.array([[1.0, 1e-7], [1e-7, -1.0]])
+        op = EigenschaftOp.from_matrix(m, tol_inv=1e-3, tol_herm=1e-3)
+        pd = to_projectors(op)
+        rebuilt = from_projector_flip(pd.projectors, pd.signs)
+        assert max_abs(rebuilt.matrix - m) <= 1e-13
 
 
 class TestComplementFamily:
