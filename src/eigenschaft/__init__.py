@@ -33,19 +33,14 @@ from .interferometer import (
     uniform_sweep,
 )
 from .linalg import (
-    InvolutionReport,
     Spectrum,
     TOL_HERM,
     TOL_INV,
     TOL_ORTHO,
     TOL_RECON,
-    adjoint,
     hermitian_eig,
     hermiticity_residual,
     involution_residual,
-    is_involution,
-    kron,
-    mat_mul,
     max_abs,
     unitarity_residual,
 )
@@ -85,4 +80,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

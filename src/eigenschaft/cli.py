@@ -5,9 +5,9 @@ to stderr.  Exit codes: 0 success, 1 domain error (mathematically invalid
 input), 2 usage error (bad flags, unreadable or malformed files).
 
 Angles on the command line are degrees; the library works in radians.
-The environment variable ``EIGENSCHAFT_TOL`` overrides the default 1e-10
-gate tolerance used when admitting operator files and by ``validate
---strict``.
+The environment variable ``EIGENSCHAFT_TOL`` overrides the default gate
+tolerance (``linalg.TOL_INV``) used when admitting operator files and by
+``validate --strict``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .interferometer import (
     run_interferometer,
     uniform_sweep,
 )
+from .linalg import TOL_INV
 from .operators import (
     DiagSpec,
     H2Params,
@@ -42,7 +43,6 @@ from .operators import (
 from .states import DensityMatrix, classify, decompose_state
 
 ENV_TOL = "EIGENSCHAFT_TOL"
-DEFAULT_GATE_TOL = 1e-10
 
 _KRON_MEMBERS = {"ib": 0, "ai": 1, "ab": 2}
 
@@ -54,7 +54,7 @@ class UsageError(Exception):
 def gate_tolerance() -> float:
     raw = os.environ.get(ENV_TOL)
     if raw is None:
-        return DEFAULT_GATE_TOL
+        return TOL_INV
     try:
         value = float(raw)
     except ValueError:
@@ -87,18 +87,22 @@ def _sign(text: str) -> int:
 
 
 def _load_json(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise UsageError(f"{path} is nested too deeply to parse as JSON")
 
 
 def _read_op(path: str):
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenschaft",
         description="Construct, validate, and exercise Hermitian involutions.",
-        epilog=f"Set {ENV_TOL} to override the 1e-10 gate tolerance.",
+        epilog=f"Set {ENV_TOL} to override the {TOL_INV:g} gate tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

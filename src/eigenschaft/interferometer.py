@@ -22,11 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
+from .linalg import freeze_fields
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
 #: Fitted visibilities below this leave magnitudes and phase undetermined.
 AMBIGUOUS_VISIBILITY = 1e-9
+#: How far the fitted visibility may exceed twice the fitted offset before
+#: a fringe is rejected as unphysical; allows shot noise at the percent level.
+UNPHYSICAL_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.splitter.dim != 2:
             raise ShapeError("splitter must be a dimension-2 operator")
-        phases = np.array(self.sweep_phases, dtype=float).reshape(-1)
+        phases = np.asarray(self.sweep_phases, dtype=float).reshape(-1)
         if phases.size == 0:
             raise DomainError("phase sweep must be non-empty")
         if not np.all(np.isfinite(phases)):
@@ -48,9 +52,7 @@ class InterferometerConfig:
         sigma = float(self.shot_noise_sigma)
         if not np.isfinite(sigma) or sigma < 0.0:
             raise DomainError("shot noise sigma must be finite and nonnegative")
-        phases.setflags(write=False)
-        object.__setattr__(self, "sweep_phases", phases)
-        object.__setattr__(self, "shot_noise_sigma", sigma)
+        freeze_fields(self, sweep_phases=phases, shot_noise_sigma=sigma)
 
 
 def uniform_sweep(n: int) -> np.ndarray:
@@ -69,9 +71,9 @@ class FringeRecord:
     intensity_port2: np.ndarray
 
     def __post_init__(self):
-        phases = np.array(self.phases, dtype=float).reshape(-1)
-        i1 = np.array(self.intensity_port1, dtype=float).reshape(-1)
-        i2 = np.array(self.intensity_port2, dtype=float).reshape(-1)
+        phases = np.asarray(self.phases, dtype=float).reshape(-1)
+        i1 = np.asarray(self.intensity_port1, dtype=float).reshape(-1)
+        i2 = np.asarray(self.intensity_port2, dtype=float).reshape(-1)
         if not (phases.size == i1.size == i2.size) or phases.size == 0:
             raise ShapeError("phases and intensities must have equal nonzero length")
         for name, arr in (("phases", phases), ("I1", i1), ("I2", i2)):
@@ -79,11 +81,8 @@ class FringeRecord:
                 raise DomainError(f"{name} must be finite")
         if np.any(i1 < 0.0) or np.any(i2 < 0.0):
             raise DomainError("intensities must be nonnegative")
-        for arr in (phases, i1, i2):
-            arr.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "intensity_port1", i1)
-        object.__setattr__(self, "intensity_port2", i2)
+        freeze_fields(self, phases=phases, intensity_port1=i1,
+                      intensity_port2=i2)
 
 
 @dataclass(frozen=True)
@@ -158,15 +157,14 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     return FringeRecord(phases=phases, intensity_port1=i1, intensity_port2=i2)
 
 
-def recover_state(fr: FringeRecord, *, unphysical_tol: float = 0.05) -> RecoveryResult:
+def recover_state(fr: FringeRecord) -> RecoveryResult:
     """Invert a fringe record into arm magnitudes and relative phase.
 
     Fits ``I1(phi)`` by linear least squares on the basis ``{1, cos phi,
     sin phi}``.  The fitted offset ``C`` and visibility ``V`` determine the
     magnitudes through ``mag1^2 + mag2^2 = 2C`` and ``2 mag1 mag2 = V``;
-    the phase comes from the quadrature coefficients.  ``unphysical_tol``
-    bounds how far ``V`` may exceed ``2C`` before the fringe is rejected as
-    unphysical; the default accommodates shot noise at the percent level.
+    the phase comes from the quadrature coefficients.  A fringe with
+    ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
     """
     phases = fr.phases
     if np.unique(np.round(wrap_phase(phases), 12)).size < 3:
@@ -185,7 +183,7 @@ def recover_state(fr: FringeRecord, *, unphysical_tol: float = 0.05) -> Recovery
     offset = c0
     if offset <= 0.0:
         raise FitError("fitted offset is nonpositive; fringe is unphysical")
-    if visibility > 2.0 * offset + unphysical_tol:
+    if visibility > 2.0 * offset + UNPHYSICAL_TOL:
         raise FitError(
             f"fitted visibility {visibility:.3g} exceeds the unitarity "
             f"bound 2C = {2.0 * offset:.3g}"

@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
-Products, adjoints, Kronecker products, involution checks, and a cyclic
-Jacobi eigensolver for Hermitian matrices.  Everything in this module is a
-pure function of ``numpy`` arrays; matrices are dense, row-major, and small
-(the package is designed for dimensions up to 64).
+Matrix coercion, max-norm residuals (Hermiticity, unitarity, involution)
+and a cyclic Jacobi eigensolver for Hermitian matrices.  Everything in this
+module is a pure function of ``numpy`` arrays; matrices are dense,
+row-major, and small (the package is designed for dimensions up to 64).
 
 The eigensolver is deliberately self-contained: it applies complex Jacobi
 rotations that annihilate one off-diagonal pair at a time, sweeping
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
 
 #: Gate tolerances for Hermiticity, eigenvector orthonormality, and
-#: spectral reconstruction.  Overridable per call where it matters.
+#: spectral reconstruction.
 TOL_HERM = 1e-10
 TOL_ORTHO = 1e-10
 TOL_RECON = 1e-10
@@ -39,8 +38,9 @@ _JACOBI_SWEEP_CAP = 100
 _JACOBI_OFF_TOL = 1e-13
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex array with finite entries."""
+def as_square(a) -> np.ndarray:
+    """Coerce ``a`` to a non-empty square complex matrix with finite
+    entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={m.ndim}")
@@ -48,15 +48,31 @@ def as_matrix(a) -> np.ndarray:
         raise ShapeError("matrix must be non-empty")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
-    return m
-
-
-def as_square(a) -> np.ndarray:
-    """Like :func:`as_matrix` but additionally requires a square shape."""
-    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def freeze_fields(obj, **fields) -> None:
+    """Set fields of a frozen dataclass, from its ``__post_init__``.
+
+    An array value is stored as a read-only copy, and so is each array in a
+    tuple value, so the caller's arrays stay writable.  Other values are
+    stored as given.
+    """
+    for name, value in fields.items():
+        if isinstance(value, tuple):
+            value = tuple(map(_read_only_copy, value))
+        else:
+            value = _read_only_copy(value)
+        object.__setattr__(obj, name, value)
+
+
+def _read_only_copy(value):
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.setflags(write=False)
+    return value
 
 
 def max_abs(a) -> float:
@@ -65,35 +81,14 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {ma.shape} by {mb.shape}: inner dimensions differ"
-        )
-    return ma @ mb
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose.  Involutive: ``adjoint(adjoint(a)) == a``."""
-    return as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product.  For square factors the trace is multiplicative:
-    ``trace(kron(a, b)) == trace(a) * trace(b)``."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def hermiticity_residual(a) -> float:
-    """``max_abs(a - adjoint(a))``; zero iff ``a`` is Hermitian."""
+    """``max_abs(a - a^dag)``; zero iff ``a`` is Hermitian."""
     m = as_square(a)
     return max_abs(m - m.conj().T)
 
 
 def unitarity_residual(a) -> float:
-    """``max_abs(a @ adjoint(a) - I)``; zero iff ``a`` is unitary."""
+    """``max_abs(a @ a^dag - I)``; zero iff ``a`` is unitary."""
     m = as_square(a)
     return max_abs(m @ m.conj().T - np.eye(m.shape[0]))
 
@@ -102,19 +97,6 @@ def involution_residual(a) -> float:
     """``max_abs(a @ a - I)``; zero iff ``a`` squares to the identity."""
     m = as_square(a)
     return max_abs(m @ m - np.eye(m.shape[0]))
-
-
-class InvolutionReport(NamedTuple):
-    """Outcome of an involution check plus the residual that decided it."""
-
-    ok: bool
-    residual: float
-
-
-def is_involution(a, tol: float = TOL_INV) -> InvolutionReport:
-    """Check ``a @ a == I`` within ``tol`` (max-norm residual)."""
-    residual = involution_residual(a)
-    return InvolutionReport(residual <= tol, residual)
 
 
 @dataclass
@@ -149,15 +131,13 @@ def _jacobi_rotation(app: float, aqq: float, apq: complex) -> np.ndarray:
     return np.array([[phase * c, phase * s], [-s, c]], dtype=complex)
 
 
-def hermitian_eig(a, tol_herm: float = TOL_HERM) -> Spectrum:
+def hermitian_eig(a) -> Spectrum:
     """Eigendecompose a Hermitian matrix by cyclic Jacobi rotations.
 
     Parameters
     ----------
     a : array_like
-        Square matrix with ``hermiticity_residual(a) <= tol_herm``.
-    tol_herm : float
-        Gate on the Hermiticity residual of the input.
+        Square matrix with ``hermiticity_residual(a) <= TOL_HERM``.
 
     Returns
     -------
@@ -169,16 +149,16 @@ def hermitian_eig(a, tol_herm: float = TOL_HERM) -> Spectrum:
     Raises
     ------
     DomainError
-        If the input is not Hermitian within ``tol_herm``.
+        If the input is not Hermitian within ``TOL_HERM``.
     ConvergenceError
         If the sweep cap is exhausted before the off-diagonal mass falls
         below the threshold (does not occur for finite Hermitian input).
     """
     m = as_square(a)
     n = m.shape[0]
-    if hermiticity_residual(m) > tol_herm:
+    if hermiticity_residual(m) > TOL_HERM:
         raise DomainError(
-            f"matrix is not Hermitian within {tol_herm:g} "
+            f"matrix is not Hermitian within {TOL_HERM:g} "
             f"(residual {hermiticity_residual(m):.3e})"
         )
     # Exact Hermitian symmetrization so rotations preserve the structure.

@@ -34,10 +34,10 @@ from .linalg import (
     TOL_HERM,
     TOL_INV,
     as_square,
+    freeze_fields,
     hermitian_eig,
     hermiticity_residual,
     involution_residual,
-    kron,
     max_abs,
     unitarity_residual,
 )
@@ -98,11 +98,8 @@ class EigenschaftOp:
                 f"matrix trace {np.trace(m)!r} is not within 1e-8 of the "
                 f"declared trace class {tc}"
             )
-        m = m.copy()  # never freeze an array the caller still owns
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "trace_class", tc)
-        object.__setattr__(self, "multiplicities", (int(n_plus), int(n_minus)))
+        freeze_fields(self, matrix=m, trace_class=tc,
+                      multiplicities=(int(n_plus), int(n_minus)))
 
     @property
     def dim(self) -> int:
@@ -218,10 +215,7 @@ class ProjectorSet:
             )
         if max_abs(sum(mats) - np.eye(n)) > TOL_INV:
             raise DomainError("projectors do not resolve the identity")
-        mats = tuple(p.copy() for p in mats)
-        for p in mats:
-            p.setflags(write=False)
-        object.__setattr__(self, "projectors", mats)
+        freeze_fields(self, projectors=mats)
 
     @property
     def dim(self) -> int:
@@ -354,10 +348,8 @@ class DiagSpec:
             )
         if not all(np.isfinite(p) for p in phases):
             raise ConstructionError("phases must be finite")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "trace_sign", int(self.trace_sign))
-        object.__setattr__(self, "dim", int(self.dim))
+        freeze_fields(self, alphas=alphas, phases=phases,
+                      trace_sign=int(self.trace_sign), dim=int(self.dim))
 
 
 def build_from_diag(spec: DiagSpec) -> EigenschaftOp:
@@ -527,9 +519,9 @@ def build_kron_family(h_a: EigenschaftOp, h_b: EigenschaftOp) -> tuple[
             )
     eye = np.eye(2, dtype=complex)
     return (
-        EigenschaftOp.from_matrix(kron(eye, h_b.matrix)),
-        EigenschaftOp.from_matrix(kron(h_a.matrix, eye)),
-        EigenschaftOp.from_matrix(kron(h_a.matrix, h_b.matrix)),
+        EigenschaftOp.from_matrix(np.kron(eye, h_b.matrix)),
+        EigenschaftOp.from_matrix(np.kron(h_a.matrix, eye)),
+        EigenschaftOp.from_matrix(np.kron(h_a.matrix, h_b.matrix)),
     )
 
 
@@ -618,22 +610,6 @@ class ValidationReport:
     trace_class_distance: float
     trace_class_suspect: bool
     relation_residuals: dict[str, float]
-
-    def as_flat_dict(self) -> dict:
-        """Flat JSON-ready dict; the complex trace splits into re/im."""
-        out = {
-            "dim": self.dim,
-            "hermiticity_residual": self.hermiticity_residual,
-            "unitarity_residual": self.unitarity_residual,
-            "involution_residual": self.involution_residual,
-            "trace_re": self.trace.real,
-            "trace_im": self.trace.imag,
-            "trace_class": self.trace_class,
-            "trace_class_distance": self.trace_class_distance,
-            "trace_class_suspect": self.trace_class_suspect,
-        }
-        out.update(self.relation_residuals)
-        return out
 
 
 def _closure_residual(m: np.ndarray, s: float, dep: tuple[int, int],

@@ -23,6 +23,7 @@ import numpy as np
 from .dynamics import BeatSample
 from .errors import SerializationError
 from .interferometer import FringeRecord, HolographicReport
+from .linalg import TOL_HERM, TOL_INV
 from .operators import (
     EigenschaftOp,
     ProjectorDecomposition,
@@ -259,20 +260,16 @@ def op_to_dict(op: EigenschaftOp) -> dict:
     return out
 
 
-def op_from_dict(d, *, tol_inv: float | None = None,
-                 tol_herm: float | None = None) -> EigenschaftOp:
+def op_from_dict(d, *, tol_inv: float = TOL_INV,
+                 tol_herm: float = TOL_HERM) -> EigenschaftOp:
     """Parse and re-validate an operator payload.
 
     A present ``trace_class`` must agree with the one inferred from the
-    matrix.  Tolerance overrides pass through to the validation gates.
+    matrix.  The tolerances are the gates of
+    :meth:`EigenschaftOp.from_matrix`.
     """
-    m = matrix_from_dict(d)
-    kwargs = {}
-    if tol_inv is not None:
-        kwargs["tol_inv"] = tol_inv
-    if tol_herm is not None:
-        kwargs["tol_herm"] = tol_herm
-    op = EigenschaftOp.from_matrix(m, **kwargs)
+    op = EigenschaftOp.from_matrix(matrix_from_dict(d), tol_inv=tol_inv,
+                                   tol_herm=tol_herm)
     declared = d.get("trace_class")
     if declared is not None:
         if isinstance(declared, bool) or not isinstance(declared, int):
@@ -311,7 +308,20 @@ def projector_decomposition_to_dict(pd: ProjectorDecomposition) -> dict:
 
 
 def validation_report_to_dict(report: ValidationReport) -> dict:
-    return report.as_flat_dict()
+    """Flat object; the complex trace splits into ``trace_re``/``trace_im``."""
+    out = {
+        "dim": report.dim,
+        "hermiticity_residual": report.hermiticity_residual,
+        "unitarity_residual": report.unitarity_residual,
+        "involution_residual": report.involution_residual,
+        "trace_re": report.trace.real,
+        "trace_im": report.trace.imag,
+        "trace_class": report.trace_class,
+        "trace_class_distance": report.trace_class_distance,
+        "trace_class_suspect": report.trace_class_suspect,
+    }
+    out.update(report.relation_residuals)
+    return out
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:

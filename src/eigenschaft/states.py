@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import TOL_HERM, as_square, hermitian_eig, hermiticity_residual
+from .linalg import TOL_HERM, as_square, freeze_fields, hermitian_eig, hermiticity_residual
 
 TOL_NORM = 1e-10
 #: Dispersions at or below this are treated as exactly zero (eigenvector case).
@@ -47,9 +47,7 @@ class StateVector:
             raise DomainError(
                 f"state vector is not normalized: |psi| = {norm!r}"
             )
-        amp = amp.copy()  # never freeze an array the caller still owns
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        freeze_fields(self, amplitudes=amp)
 
     @property
     def dim(self) -> int:
@@ -93,9 +91,7 @@ class DensityMatrix:
                 f"density matrix must be positive semidefinite "
                 f"(smallest eigenvalue {lo:.3e})"
             )
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        freeze_fields(self, matrix=m)
 
     @property
     def dim(self) -> int:

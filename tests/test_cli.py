@@ -8,7 +8,16 @@ import pytest
 
 from eigenschaft.cli import main
 from eigenschaft.linalg import max_abs
-from eigenschaft.serialize import matrix_from_dict
+from eigenschaft.operators import (
+    DiagSpec,
+    build_from_diag,
+    build_kron_family,
+    hadamard,
+    validate,
+)
+from eigenschaft.serialize import matrix_from_dict, matrix_to_dict
+
+from helpers import random_hermitian, random_involution
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,21 +121,61 @@ class TestConstruct:
         assert first == second
 
 
+#: Relation residual keys of the validation report, in order, per input.
+RELATION_KEYS = {
+    "dim2-hadamard": ["balance", "unit_norm_1", "unit_norm_2"],
+    "dim3-branch": ["mag_12", "mag_13", "mag_23", "closure_23"],
+    "dim4-branch": ["mag_12", "mag_13", "mag_14", "mag_23", "mag_24", "mag_34",
+                    "closure_23", "closure_24", "closure_34"],
+    "dim4-traceless": [],
+    "dim5": [],
+}
+
+
+def _validate_inputs() -> dict:
+    rng = np.random.default_rng(11)
+    dim3 = build_from_diag(DiagSpec(dim=3, alphas=(0.2, 0.3, 0.5), trace_sign=1,
+                                    phases=(0.8, -0.4)))
+    dim4 = build_from_diag(DiagSpec(dim=4, alphas=(-0.2, -0.3, -0.6, -0.9),
+                                    trace_sign=-1, phases=(0.5, -1.0, 2.0)))
+    traceless = build_kron_family(hadamard(), hadamard())[2]
+    return {
+        "dim2-hadamard": hadamard().matrix,
+        "dim3-branch": dim3.matrix,
+        "dim4-branch": dim4.matrix + 1e-3 * random_hermitian(4, rng),
+        "dim4-traceless": traceless.matrix,
+        "dim5": random_involution(5, rng, trace_class=3),
+    }
+
+
 class TestValidate:
     def test_report_golden(self, capsys):
         code, out, _ = run_cli(capsys, "validate", HADAMARD_OP)
         assert code == 0
         assert out == golden("validate_hadamard.json")
 
-    def test_report_schema(self, capsys):
-        _, out, _ = run_cli(capsys, "validate", HADAMARD_OP)
-        payload = json.loads(out)
-        for key in (
-            "dim", "hermiticity_residual", "unitarity_residual",
-            "involution_residual", "trace_re", "trace_im", "trace_class",
-            "trace_class_distance", "trace_class_suspect",
-        ):
-            assert key in payload
+    @pytest.mark.parametrize("name", list(RELATION_KEYS))
+    def test_report_schema(self, capsys, tmp_path, name):
+        # Exact key order, JSON types and values of the report.
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix_to_dict(_validate_inputs()[name])))
+        code, out, _ = run_cli(capsys, "validate", str(f))
+        assert code == 0
+        report = validate(matrix_from_dict(json.loads(f.read_text())))
+        expected = [
+            ("dim", int, report.dim),
+            ("hermiticity_residual", float, report.hermiticity_residual),
+            ("unitarity_residual", float, report.unitarity_residual),
+            ("involution_residual", float, report.involution_residual),
+            ("trace_re", float, report.trace.real),
+            ("trace_im", float, report.trace.imag),
+            ("trace_class", int, report.trace_class),
+            ("trace_class_distance", float, report.trace_class_distance),
+            ("trace_class_suspect", bool, report.trace_class_suspect),
+        ] + [(key, float, report.relation_residuals[key])
+             for key in RELATION_KEYS[name]]
+        got = [(key, type(value), value) for key, value in json.loads(out).items()]
+        assert got == expected
 
     def test_non_involution_reports_but_exits_zero(self, capsys, tmp_path):
         f = tmp_path / "m.json"
@@ -454,6 +503,36 @@ class TestOverflowingNumbers:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"malformed input: {message}\n"
+
+
+class TestUnreadableInput:
+    """A file that cannot be decoded or parsed is a usage error, not a crash."""
+
+    DEEP = b"[" * 200000
+
+    @pytest.mark.parametrize("source, data, env, message", [
+        ("file", b"\xff\xfe\x00bad", {}, "is not UTF-8 text"),
+        ("stdin", b"\xff\xfe\x00bad", {"PYTHONIOENCODING": "utf-8:strict"},
+         "- is not UTF-8 text"),
+        ("file", DEEP, {}, "is nested too deeply"),
+        ("stdin", DEEP, {}, "- is nested too deeply"),
+    ], ids=["non-utf8-file", "non-utf8-stdin", "deep-file", "deep-stdin"])
+    def test_exit_2_without_traceback(self, tmp_path, monkeypatch, source, data,
+                                      env, message):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        f = tmp_path / "bad.json"
+        f.write_bytes(data)
+        path, stdin = (str(f), None) if source == "file" else ("-", data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft", "validate", path],
+            input=stdin, capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"error: ")
+        assert message.encode() in proc.stderr
 
 
 class TestUsageErrors:

@@ -1,94 +1,101 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from eigenschaft.errors import ConvergenceError, DomainError, ShapeError
+from eigenschaft.interferometer import FringeRecord, InterferometerConfig
 from eigenschaft.linalg import (
-    adjoint,
+    as_square,
+    freeze_fields,
     hermitian_eig,
     hermiticity_residual,
     involution_residual,
-    is_involution,
-    kron,
-    mat_mul,
     max_abs,
     unitarity_residual,
 )
-from eigenschaft.operators import H2Params, build_h2, hadamard
+from eigenschaft.operators import EigenschaftOp, ProjectorSet, hadamard
+from eigenschaft.states import DensityMatrix, StateVector
 
 from helpers import haar_unitary, random_hermitian, random_involution
 
 RNG = lambda seed: np.random.default_rng(seed)  # noqa: E731
 
 
-class TestMatMul:
-    def test_identity(self):
-        eye = np.eye(2)
-        assert np.array_equal(mat_mul(eye, eye), eye)
+class TestAsSquare:
+    @pytest.mark.parametrize("a, error", [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), DomainError),
+        (np.ones(3), ShapeError),
+        (np.ones((0, 0)), ShapeError),
+        (np.ones((2, 3)), ShapeError),
+    ], ids=["nan", "inf", "1-d", "empty", "non-square"])
+    def test_rejects(self, a, error):
+        with pytest.raises(error):
+            as_square(a)
 
-    def test_hadamard_squares_to_identity(self):
-        h = hadamard().matrix
-        assert max_abs(mat_mul(h, h) - np.eye(2)) < 1e-15
-
-    def test_permutation_on_column(self):
-        swap = np.array([[0, 1], [1, 0]])
-        col = np.array([[2.0 + 1j], [3.0]])
-        out = mat_mul(swap, col)
-        assert np.array_equal(out, np.array([[3.0], [2.0 + 1j]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mat_mul(np.eye(2), np.eye(3))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            mat_mul(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
+    def test_coerces_to_complex_without_copying_complex_input(self):
+        m = np.eye(2, dtype=complex)
+        assert as_square(m) is m
+        assert as_square([[1, 0], [0, 1]]).dtype == complex
 
 
-class TestAdjoint:
-    def test_one_by_one_conjugation(self):
-        assert adjoint(np.array([[1j]]))[0, 0] == -1j
+class TestFreezeFields:
+    def test_arrays_become_read_only_copies(self):
+        @dataclass(frozen=True)
+        class Holder:
+            single: np.ndarray
+            several: tuple
+            label: str
 
-    def test_hermitian_fixed_point(self):
-        h = build_h2(H2Params(gamma_angle=np.radians(30), delta_phi=np.pi / 3))
-        assert max_abs(adjoint(h.matrix) - h.matrix) == 0.0
+            def __post_init__(self):
+                freeze_fields(self, single=self.single, several=self.several,
+                              label=self.label.upper())
 
-    def test_involution_on_matrices_exact(self):
-        rng = RNG(1)
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert np.array_equal(adjoint(adjoint(m)), m)
+        a, b = np.arange(3.0), np.eye(2)
+        h = Holder(a, (b, 1.5), "x")
+        assert h.label == "X" and h.several[1] == 1.5
+        for stored, given in ((h.single, a), (h.several[0], b)):
+            assert np.array_equal(stored, given)
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, given)
+            assert given.flags.writeable
+
+    @pytest.mark.parametrize("kind", [
+        "EigenschaftOp", "ProjectorSet", "StateVector", "DensityMatrix",
+        "InterferometerConfig", "FringeRecord",
+    ])
+    def test_package_dataclasses_never_freeze_the_callers_arrays(self, kind):
+        given, stored = _given_and_stored(kind)
+        for g, x in zip(given, stored, strict=True):
+            assert np.array_equal(x, g)
+            assert not x.flags.writeable
+            assert not np.shares_memory(x, g)
+            assert g.flags.writeable
 
 
-class TestKron:
-    def test_column_times_row_gives_outer(self):
-        a, b = 0.6, 0.8j
-        col = np.array([[a], [b]])
-        row = np.array([[np.conj(a), np.conj(b)]])
-        expected = np.array(
-            [[a * np.conj(a), a * np.conj(b)], [b * np.conj(a), b * np.conj(b)]]
-        )
-        assert max_abs(kron(col, row) - expected) == 0.0
-
-    def test_identity_kron_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hadamard_kron_hadamard_traceless_involution(self):
-        h = hadamard().matrix
-        hh = kron(h, h)
-        assert hh.shape == (4, 4)
-        assert abs(np.trace(hh)) < 1e-15
-        assert involution_residual(hh) < 1e-14
-
-    def test_trace_multiplicative(self):
-        rng = RNG(2)
-        for _ in range(50):
-            na, nb = (int(x) for x in rng.integers(1, 9, size=2))
-            a = rng.normal(size=(na, na)) + 1j * rng.normal(size=(na, na))
-            b = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
-            lhs = np.trace(kron(a, b))
-            rhs = np.trace(a) * np.trace(b)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+def _given_and_stored(kind):
+    """Arrays passed to one of the package's frozen dataclasses, already in
+    the dtype it stores, and the arrays it stored."""
+    phases = np.linspace(0.0, 1.0, 4)
+    if kind == "EigenschaftOp":
+        m = np.diag([1.0, -1.0]).astype(complex)
+        return [m], [EigenschaftOp(m, 0, (1, 1)).matrix]
+    if kind == "ProjectorSet":
+        given = [np.diag([1.0, 0.0]).astype(complex),
+                 np.diag([0.0, 1.0]).astype(complex)]
+        return given, list(ProjectorSet(tuple(given)).projectors)
+    if kind == "StateVector":
+        v = np.array([1.0, 0.0], dtype=complex)
+        return [v], [StateVector(v).amplitudes]
+    if kind == "DensityMatrix":
+        rho = np.full((2, 2), 0.5, dtype=complex)
+        return [rho], [DensityMatrix(rho).matrix]
+    if kind == "InterferometerConfig":
+        return [phases], [InterferometerConfig(hadamard(), phases).sweep_phases]
+    i1, i2 = phases / 2.0, 1.0 - phases / 2.0
+    fr = FringeRecord(phases, i1, i2)
+    return [phases, i1, i2], [fr.phases, fr.intensity_port1, fr.intensity_port2]
 
 
 class TestHermitianEig:
@@ -138,23 +145,6 @@ class TestHermitianEig:
     def test_convergence_error_is_exported(self):
         # The cap is generous; just check the class wiring.
         assert issubclass(ConvergenceError, RuntimeError)
-
-
-class TestIsInvolution:
-    def test_hadamard(self):
-        report = is_involution(hadamard().matrix)
-        assert report.ok and report.residual < 1e-15
-
-    def test_squashed_diagonal(self):
-        report = is_involution(np.diag([1.0, 0.5]))
-        assert not report.ok
-        assert report.residual == pytest.approx(0.75)
-
-    def test_sign_flip_construction_always_involutive(self):
-        rng = RNG(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            assert is_involution(random_involution(n, rng)).ok
 
 
 class TestUnitarySelfAdjointTheorem:

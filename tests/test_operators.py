@@ -693,21 +693,6 @@ class TestValidate:
         assert report.trace_class == 0
         assert report.relation_residuals == {}
 
-    def test_flat_dict_has_fixed_schema(self):
-        flat = validate(hadamard()).as_flat_dict()
-        for key in (
-            "dim",
-            "hermiticity_residual",
-            "unitarity_residual",
-            "involution_residual",
-            "trace_re",
-            "trace_im",
-            "trace_class",
-            "trace_class_distance",
-            "trace_class_suspect",
-        ):
-            assert key in flat
-
 
 class TestWrapPhase:
     def test_half_open_interval(self):
