@@ -86,6 +86,16 @@ def _sign(text: str) -> int:
     raise argparse.ArgumentTypeError(f"sign must be +1 or -1, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _load_json(path: str):
     try:
         if path == "-":
@@ -107,7 +117,7 @@ def _load_json(path: str):
 
 def _read_op(path: str):
     tol = gate_tolerance()
-    return serialize.op_from_dict(_load_json(path), tol_inv=tol, tol_herm=tol)
+    return serialize.op_from_dict(_load_json(path), tol=tol)
 
 
 def _cmd_construct_h2(args) -> tuple[str, int]:
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of uniform sweep phases")
     sim.add_argument("--noise", type=float, default=0.0,
                      help="intensity noise sigma (default 0)")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0, help="noise seed, >= 0")
     sim.add_argument("--splitter", help="operator JSON file (default: 50/50)")
     sim.add_argument("--fringes", action="store_true",
                      help="emit the fringe CSV instead of the recovery report")

@@ -64,8 +64,6 @@ def beat_trace(sys: TwoLevelSystem, t_samples: Iterable[float]) -> list[BeatSamp
     times = np.asarray(list(t_samples), dtype=float)
     if times.size and not np.all(np.isfinite(times)):
         raise DomainError("time samples must be finite")
-    base = h2_elements(sys.h2).delta_phi
-    return [
-        BeatSample(t=float(t), delta_phi=wrap_phase(base + sys.detuning * t))
-        for t in times
-    ]
+    phases = wrap_phase(h2_elements(sys.h2).delta_phi + sys.detuning * times)
+    return [BeatSample(t=t, delta_phi=p)
+            for t, p in zip(times.tolist(), phases.tolist())]

@@ -10,9 +10,10 @@ one pass.
 
 Recovery assumes the symmetric 50/50 splitter, for which the port-1
 intensity obeys ``I1(phi) = 1/2 + |a||b| cos(phi + delta)`` with ``delta``
-the relative phase of the input arms.  The fit cannot tell which arm owns
-which magnitude, so magnitudes are reported in descending order and flagged
-as conventional.
+the relative phase of the input arms; ``holographic_report`` refuses any
+splitter without ``conj(H00) H01 = 1/2``.  The fit cannot tell which arm
+owns which magnitude, so magnitudes are reported in descending order and
+flagged as conventional.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
-from .linalg import freeze_fields
+from .linalg import TOL_INV, freeze_fields
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
@@ -172,9 +173,9 @@ def recover_state(fr: FringeRecord) -> RecoveryResult:
     design = np.column_stack(
         [np.ones(phases.size), np.cos(phases), np.sin(phases)]
     )
-    if np.linalg.matrix_rank(design) < 3:
+    coeffs, _, rank, _ = np.linalg.lstsq(design, fr.intensity_port1, rcond=None)
+    if rank < 3:
         raise FitError("degenerate phase design: sweep does not span a fringe")
-    coeffs, *_ = np.linalg.lstsq(design, fr.intensity_port1, rcond=None)
     c0, c1, c2 = (float(c) for c in coeffs)
     residual_rms = float(
         np.sqrt(np.mean((design @ coeffs - fr.intensity_port1) ** 2))
@@ -212,7 +213,17 @@ def holographic_report(state: StateVector, cfg: InterferometerConfig,
     Magnitude errors are taken against the descending-sorted true arm
     magnitudes (matching the recovery's ordering convention); the phase
     error is the wrapped difference of relative phases.
+
+    The fit's model holds only for a splitter with ``conj(H00) H01 = 1/2``
+    (within ``TOL_INV``); any other raises ``DomainError``.
     """
+    h = cfg.splitter.matrix
+    coupling = complex(np.conj(h[0, 0]) * h[0, 1])
+    if abs(coupling - 0.5) > TOL_INV:
+        raise DomainError(
+            f"holographic recovery needs the 50/50 splitter, conj(H00)*H01 "
+            f"= 1/2; this splitter gives {coupling:.6g}"
+        )
     fringe = run_interferometer(state, cfg, rng_seed=seed)
     result = recover_state(fringe)
     a, b = state.amplitudes

@@ -2,8 +2,8 @@
 
 An operator that is simultaneously self-adjoint and unitary squares to the
 identity, so its spectrum is contained in {+1, -1} and its trace is an
-integer with the parity of the dimension (the "trace class").  This module
-provides:
+integer with the parity of the dimension (the "trace class"), which fixes
+the multiplicities ``(n +- tc) / 2`` of +-1.  This module provides:
 
 * closed-form constructors in dimension 2 (mixing angle plus relative
   phase) and dimensions 3 and 4 in the rank-one-deficiency branches, where
@@ -24,7 +24,7 @@ of the independent ones (not merely differences modulo pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -66,76 +66,58 @@ def _nearest_trace_class(trace: complex, dim: int) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class EigenschaftOp:
-    """A Hermitian involution with its integer trace class and eigenvalue
-    multiplicities ``(n_plus, n_minus)``.
+    """A Hermitian involution; its trace class and multiplicities
+    ``(n_plus, n_minus)`` are read off the trace.
 
     Use :meth:`from_matrix` to build one from a foreign matrix; it gates on
     the Hermiticity and involution residuals.  The plain constructor only
-    checks structural consistency and trusts the numerical invariants, which
-    is what the in-package builders rely on.
+    refuses a trace not within 1e-8 of a trace class and trusts the rest,
+    which is what the in-package builders rely on.
     """
 
     matrix: np.ndarray
-    trace_class: int
-    multiplicities: tuple[int, int]
+    trace_class: int = field(init=False)
 
     def __post_init__(self):
         m = as_square(self.matrix)
-        n = m.shape[0]
-        tc = int(self.trace_class)
-        if abs(tc) > n or (tc - n) % 2 != 0:
-            raise DomainError(
-                f"trace class {tc} impossible for dimension {n}"
-            )
-        n_plus, n_minus = self.multiplicities
-        if n_plus + n_minus != n or n_plus - n_minus != tc:
-            raise DomainError(
-                f"multiplicities {self.multiplicities} inconsistent with "
-                f"dim {n}, trace class {tc}"
-            )
-        if abs(complex(np.trace(m)) - tc) > 1e-8:
-            raise DomainError(
-                f"matrix trace {np.trace(m)!r} is not within 1e-8 of the "
-                f"declared trace class {tc}"
-            )
-        freeze_fields(self, matrix=m, trace_class=tc,
-                      multiplicities=(int(n_plus), int(n_minus)))
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @classmethod
-    def from_matrix(cls, m, *, tol_inv: float = TOL_INV,
-                    tol_herm: float = TOL_HERM) -> "EigenschaftOp":
-        """Validate a matrix as a Hermitian involution and wrap it.
-
-        Raises ``DomainError`` when the Hermiticity or involution residual
-        exceeds its gate, or when the trace is not close to an integer of
-        the correct parity.
-        """
-        mat = as_square(m)
-        herm = hermiticity_residual(mat)
-        if herm > tol_herm:
-            raise DomainError(
-                f"not Hermitian: residual {herm:.3e} exceeds {tol_herm:g}"
-            )
-        inv = involution_residual(mat)
-        if inv > tol_inv:
-            raise DomainError(
-                f"not an involution: residual {inv:.3e} exceeds {tol_inv:g}"
-            )
-        n = mat.shape[0]
-        trace = complex(np.trace(mat))
-        tc, dist = _nearest_trace_class(trace, n)
+        trace = complex(np.trace(m))
+        tc, dist = _nearest_trace_class(trace, m.shape[0])
         if dist > 1e-8:
             raise DomainError(
                 f"trace {trace!r} is {dist:.3e} away from the nearest "
                 f"admissible trace class {tc}"
             )
-        n_plus = (n + tc) // 2
-        return cls(matrix=mat, trace_class=tc,
-                   multiplicities=(n_plus, n - n_plus))
+        freeze_fields(self, matrix=m, trace_class=tc)
+
+    @property
+    def dim(self) -> int:
+        return int(self.matrix.shape[0])
+
+    @property
+    def multiplicities(self) -> tuple[int, int]:
+        n_plus = (self.dim + self.trace_class) // 2
+        return n_plus, self.dim - n_plus
+
+    @classmethod
+    def from_matrix(cls, m, *, tol: float = TOL_INV) -> "EigenschaftOp":
+        """Validate a matrix as a Hermitian involution and wrap it.
+
+        Raises ``DomainError`` when the Hermiticity or involution residual
+        exceeds ``tol``, or when the trace is not close to an integer of
+        the correct parity.
+        """
+        mat = as_square(m)
+        herm = hermiticity_residual(mat)
+        if herm > tol:
+            raise DomainError(
+                f"not Hermitian: residual {herm:.3e} exceeds {tol:g}"
+            )
+        inv = involution_residual(mat)
+        if inv > tol:
+            raise DomainError(
+                f"not an involution: residual {inv:.3e} exceeds {tol:g}"
+            )
+        return cls(mat)
 
 
 def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
@@ -224,9 +206,7 @@ class ProjectorSet:
     @classmethod
     def from_columns(cls, u) -> "ProjectorSet":
         """Rank-1 projectors onto the columns of a unitary matrix."""
-        m = as_square(u)
-        cols = [m[:, k] for k in range(m.shape[1])]
-        return cls(tuple(np.outer(c, c.conj()) for c in cols))
+        return cls(tuple(np.outer(c, c.conj()) for c in as_square(u).T))
 
     @classmethod
     def standard_basis(cls, dim: int) -> "ProjectorSet":
@@ -475,11 +455,8 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
                 "input is not an involution"
             )
         signs.append(k)
-    cols = basis @ spectrum.eigenvectors
-    projectors = tuple(
-        np.outer(cols[:, k], cols[:, k].conj()) for k in range(op.dim)
-    )
-    return ProjectorDecomposition(ProjectorSet(projectors), tuple(signs))
+    projectors = ProjectorSet.from_columns(basis @ spectrum.eigenvectors)
+    return ProjectorDecomposition(projectors, tuple(signs))
 
 
 def complement_family(ps: ProjectorSet, kind: str = "flip") -> list[EigenschaftOp]:

@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import BeatSample
 from .errors import SerializationError
 from .interferometer import FringeRecord, HolographicReport
-from .linalg import TOL_HERM, TOL_INV
+from .linalg import TOL_INV
 from .operators import (
     EigenschaftOp,
     ProjectorDecomposition,
@@ -260,16 +260,13 @@ def op_to_dict(op: EigenschaftOp) -> dict:
     return out
 
 
-def op_from_dict(d, *, tol_inv: float = TOL_INV,
-                 tol_herm: float = TOL_HERM) -> EigenschaftOp:
+def op_from_dict(d, *, tol: float = TOL_INV) -> EigenschaftOp:
     """Parse and re-validate an operator payload.
 
     A present ``trace_class`` must agree with the one inferred from the
-    matrix.  The tolerances are the gates of
-    :meth:`EigenschaftOp.from_matrix`.
+    matrix.  ``tol`` is the gate of :meth:`EigenschaftOp.from_matrix`.
     """
-    op = EigenschaftOp.from_matrix(matrix_from_dict(d), tol_inv=tol_inv,
-                                   tol_herm=tol_herm)
+    op = EigenschaftOp.from_matrix(matrix_from_dict(d), tol=tol)
     declared = d.get("trace_class")
     if declared is not None:
         if isinstance(declared, bool) or not isinstance(declared, int):

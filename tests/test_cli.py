@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,15 +8,29 @@ import numpy as np
 import pytest
 
 from eigenschaft.cli import main
+from eigenschaft.interferometer import (
+    InterferometerConfig,
+    run_interferometer,
+    uniform_sweep,
+)
 from eigenschaft.linalg import max_abs
 from eigenschaft.operators import (
     DiagSpec,
+    H2Params,
     build_from_diag,
+    build_h2,
     build_kron_family,
     hadamard,
     validate,
 )
-from eigenschaft.serialize import matrix_from_dict, matrix_to_dict
+from eigenschaft.serialize import (
+    dumps,
+    fringe_csv,
+    matrix_from_dict,
+    matrix_to_dict,
+    op_to_dict,
+    state_from_dict,
+)
 
 from helpers import random_hermitian, random_involution
 
@@ -419,6 +434,46 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
         assert json.loads(first)["truth_error"]["phase"] <= 0.2
+
+
+    @pytest.mark.parametrize("noise", ["0", "0.1"])
+    @pytest.mark.parametrize("mode", [[], ["--fringes"]], ids=["report", "fringes"])
+    def test_negative_seed_is_usage_error(self, noise, mode):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft", "simulate", "--state", EQUAL_STATE,
+             "--phases", "16", "--noise", noise, "--seed", "-1", *mode],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(
+            "error: argument --seed: seed must be a nonnegative integer, got '-1'\n"
+        )
+
+    def test_non_integer_seed_keeps_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--state", EQUAL_STATE, "--phases", "8", "--seed", "1.5"])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+
+    def test_splitter_outside_the_fit_model(self, capsys, tmp_path):
+        """A report needs the 50/50 splitter; fringes take any splitter."""
+        splitter = build_h2(H2Params(gamma_angle=math.radians(30.0), delta_phi=0.0))
+        path = tmp_path / "splitter.json"
+        path.write_text(dumps(op_to_dict(splitter)))
+        args = ("simulate", "--state", EQUAL_STATE, "--phases", "16",
+                "--splitter", str(path))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: holographic recovery needs the 50/50 splitter")
+
+        code, out, _ = run_cli(capsys, *args, "--fringes")
+        assert code == 0
+        cfg = InterferometerConfig(splitter=splitter, sweep_phases=uniform_sweep(16))
+        state = state_from_dict(json.loads(Path(EQUAL_STATE).read_text()))
+        assert out == fringe_csv(run_interferometer(state, cfg))
 
 
 class TestPipeline:

@@ -16,6 +16,7 @@ from eigenschaft.operators import (
     hadamard,
     wrap_phase,
 )
+from eigenschaft.serialize import beat_trace_csv
 
 
 def system(detuning, op=None):
@@ -116,3 +117,19 @@ class TestBeatTrace:
     def test_rejects_nonfinite_samples(self):
         with pytest.raises(DomainError):
             beat_trace(system(1.0), [0.0, np.nan])
+
+    def test_csv_bytes_match_per_sample_formula(self):
+        rng = np.random.default_rng(53)
+        op = build_h2(H2Params(gamma_angle=0.7, delta_phi=-2.1))
+        sys2 = TwoLevelSystem(omega1=17.3, omega2=-4.9, h2=op)
+        times = np.concatenate([rng.uniform(-1e3, 1e3, 2500),
+                                rng.normal(0.0, 1.0, 2500)])
+        base = h2_elements(op).delta_phi
+        expected = "t,delta_phi\n" + "".join(
+            f"{float(t)!r},{wrap_phase(base + sys2.detuning * t)!r}\n"
+            for t in times
+        )
+        assert beat_trace_csv(beat_trace(sys2, times)) == expected
+
+    def test_empty_samples(self):
+        assert beat_trace(system(1.0), []) == []

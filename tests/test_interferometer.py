@@ -166,6 +166,26 @@ class TestRecoverState:
         with pytest.raises(FitError):
             recover_state(fr)
 
+    @pytest.mark.parametrize("phases", [
+        *(uniform_sweep(n) for n in (3, 4, 7, 16, 39)),
+        np.array([0.0, 1e-11, 2e-11]),
+        np.array([0.3, 0.3 + 1e-9, 0.3 + 2e-9]),
+        np.array([0.3, 0.3 + 1e-5, 0.3 + 2e-5, 0.3 + 3e-5]),
+    ])
+    def test_rank_gate_matches_matrix_rank(self, phases):
+        """The fit's rank gate counts singular values as
+        ``np.linalg.matrix_rank`` does, near-duplicate phases included."""
+        design = np.column_stack(
+            [np.ones(phases.size), np.cos(phases), np.sin(phases)]
+        )
+        cfg = InterferometerConfig(splitter=hadamard(), sweep_phases=phases)
+        fr = run_interferometer(two_arm_state(0.6, 0.8, 0.3), cfg)
+        if np.linalg.matrix_rank(design) < 3:
+            with pytest.raises(FitError, match="degenerate phase design"):
+                recover_state(fr)
+        else:
+            recover_state(fr)
+
     def test_unphysical_fringe_rejected(self):
         # A single spike fits to V = 1 with offset C = 0.25: V > 2C + tol.
         fr = FringeRecord(
@@ -224,6 +244,27 @@ class TestHolographicReport:
         report = holographic_report(state, config(32))
         assert report.recovered.mag1 == pytest.approx(np.sqrt(0.8), abs=1e-9)
         assert report.recovered.mag2 == pytest.approx(np.sqrt(0.2), abs=1e-9)
+        assert report.truth_error.phase <= 1e-8
+
+    @pytest.mark.parametrize("gamma_deg, dphi_deg", [
+        (30.0, 0.0), (45.0, 30.0), (-45.0, 0.0), (45.0, 1e-6),
+    ])
+    def test_refuses_splitter_outside_the_fit_model(self, gamma_deg, dphi_deg):
+        splitter = build_h2(H2Params(gamma_angle=np.radians(gamma_deg),
+                                     delta_phi=np.radians(dphi_deg)))
+        state = two_arm_state(0.6, 0.8, 0.3)
+        with pytest.raises(DomainError, match="needs the 50/50 splitter"):
+            holographic_report(state, config(32, splitter=splitter))
+        # The fringe itself is still recorded for any splitter.
+        run_interferometer(state, config(32, splitter=splitter))
+
+    def test_accepts_negated_hadamard(self):
+        """``-H`` also has ``conj(H00) H01 = 1/2`` and the same fringe."""
+        splitter = EigenschaftOp.from_matrix(-hadamard().matrix)
+        state = two_arm_state(0.6, 0.8, 0.3)
+        report = holographic_report(state, config(32, splitter=splitter))
+        assert report.truth_error.mag1 <= 1e-8
+        assert report.truth_error.mag2 <= 1e-8
         assert report.truth_error.phase <= 1e-8
 
 

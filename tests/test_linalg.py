@@ -80,7 +80,7 @@ def _given_and_stored(kind):
     phases = np.linspace(0.0, 1.0, 4)
     if kind == "EigenschaftOp":
         m = np.diag([1.0, -1.0]).astype(complex)
-        return [m], [EigenschaftOp(m, 0, (1, 1)).matrix]
+        return [m], [EigenschaftOp(m).matrix]
     if kind == "ProjectorSet":
         given = [np.diag([1.0, 0.0]).astype(complex),
                  np.diag([0.0, 1.0]).astype(complex)]

@@ -98,14 +98,35 @@ class TestEigenschaftOp:
         near = np.diag([1.0 + 1e-7, -1.0 - 1e-7])
         with pytest.raises(DomainError):
             EigenschaftOp.from_matrix(near)
-        op = EigenschaftOp.from_matrix(near, tol_inv=1e-5)
+        op = EigenschaftOp.from_matrix(near, tol=1e-5)
         assert op.trace_class == 0
 
-    def test_consistency_checks_on_direct_construction(self):
-        with pytest.raises(DomainError):
-            EigenschaftOp(np.diag([1.0, -1.0]), trace_class=1, multiplicities=(1, 1))
-        with pytest.raises(DomainError):
-            EigenschaftOp(np.diag([1.0, -1.0]), trace_class=0, multiplicities=(2, 0))
+    def test_one_tolerance_gates_both_residuals(self):
+        skew = np.array([[1.0, 1e-7], [0.0, -1.0]])
+        with pytest.raises(DomainError, match="not Hermitian: .* exceeds 1e-08"):
+            EigenschaftOp.from_matrix(skew, tol=1e-8)
+        assert EigenschaftOp.from_matrix(skew, tol=1e-6).trace_class == 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_constructor_derives_spectral_data(self, n):
+        rng = np.random.default_rng(100 + n)
+        for tc in range(-n, n + 1, 2):
+            m = random_involution(n, rng, trace_class=tc)
+            direct = EigenschaftOp(m)
+            gated = EigenschaftOp.from_matrix(m)
+            assert direct.trace_class == gated.trace_class == tc
+            n_plus = (n + tc) // 2
+            assert direct.multiplicities == gated.multiplicities == (n_plus, n - n_plus)
+
+    @pytest.mark.parametrize("diag, message", [
+        ([1.0, -1.0 + 1e-6], "1.000e-06 away from the nearest admissible trace class 0"),
+        ([1.0, 0.5], "5.000e-01 away from the nearest admissible trace class 2"),
+        ([1.0, 1.0, 1.0 + 1e-7], "1.000e-07 away from the nearest admissible trace class 3"),
+        ([1.0, -1.0 + 1e-6j], "1.000e-06 away from the nearest admissible trace class 0"),
+    ])
+    def test_constructor_refuses_non_integral_trace(self, diag, message):
+        with pytest.raises(DomainError, match=message):
+            EigenschaftOp(np.diag(diag))
 
     def test_matrix_read_only(self):
         op = hadamard()
@@ -438,7 +459,7 @@ class TestToProjectorsDomain:
         else:
             m = np.diag([1.0, 1.0] + [-1.0, 1.0] * ((n - 2) // 2)).astype(complex)
             m[0, 1] = m[1, 0] = eps
-        op = EigenschaftOp.from_matrix(m, tol_inv=1e-3, tol_herm=1e-3)
+        op = EigenschaftOp.from_matrix(m, tol=1e-3)
         with pytest.raises(DomainError, match="not within 1e-8 of"):
             to_projectors(op)
 
@@ -448,20 +469,21 @@ class TestToProjectorsDomain:
         column is normalised, whether a loose gate or the plain
         constructor admitted it."""
         m = np.diag([-1.0, -1.0, 3.0])
-        loose = EigenschaftOp.from_matrix(m, tol_inv=10.0, tol_herm=10.0)
-        plain = EigenschaftOp(m, trace_class=1, multiplicities=(2, 1))
+        loose = EigenschaftOp.from_matrix(m, tol=10.0)
+        plain = EigenschaftOp(m)
+        assert plain.multiplicities == (2, 1)
         for op in (loose, plain):
             with pytest.raises(DomainError, match="not an involution"):
                 to_projectors(op)
-        short_minus = EigenschaftOp(np.diag([1.0, 1.0, -3.0]), trace_class=-1,
-                                    multiplicities=(1, 2))
+        short_minus = EigenschaftOp(np.diag([1.0, 1.0, -3.0]))
+        assert short_minus.multiplicities == (1, 2)
         with pytest.raises(DomainError, match="not an involution"):
             to_projectors(short_minus)
 
     def test_relaxed_tolerance_keeps_hermiticity_gate(self):
         m = random_involution(8, np.random.default_rng(90), trace_class=2)
         m[0, 1] += 1e-9
-        op = EigenschaftOp.from_matrix(m, tol_inv=1e-3, tol_herm=1e-3)
+        op = EigenschaftOp.from_matrix(m, tol=1e-3)
         with pytest.raises(DomainError, match="not Hermitian within 1e-10"):
             to_projectors(op)
 
@@ -471,7 +493,7 @@ class TestToProjectorsDomain:
         those of the perturbed matrix (roundtrip at the size of that move),
         not the ranges of ``(I +- H)/2``, which would miss by 5e-8."""
         m = np.array([[1.0, 1e-7], [1e-7, -1.0]])
-        op = EigenschaftOp.from_matrix(m, tol_inv=1e-3, tol_herm=1e-3)
+        op = EigenschaftOp.from_matrix(m, tol=1e-3)
         pd = to_projectors(op)
         rebuilt = from_projector_flip(pd.projectors, pd.signs)
         assert max_abs(rebuilt.matrix - m) <= 1e-13

@@ -108,7 +108,7 @@ class TestOperatorFormat:
         d = serialize.matrix_to_dict(near)
         with pytest.raises(Exception):
             serialize.op_from_dict(d)
-        assert serialize.op_from_dict(d, tol_inv=1e-5).trace_class == 0
+        assert serialize.op_from_dict(d, tol=1e-5).trace_class == 0
 
 
 class TestProjectorSetFormat:
