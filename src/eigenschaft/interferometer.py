@@ -34,7 +34,7 @@ AMBIGUOUS_VISIBILITY = 1e-9
 UNPHYSICAL_TOL = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterferometerConfig:
     """Splitter, phase sweep, and additive intensity noise level."""
 
@@ -63,7 +63,7 @@ def uniform_sweep(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FringeRecord:
     """Sampled output intensities of both ports over the phase sweep."""
 
@@ -137,7 +137,7 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     For each sweep phase the second component is advanced by ``exp(i phi)``
     and the splitter applied; intensities are squared moduli plus optional
     additive Gaussian noise (clamped at zero).  Fully deterministic for a
-    given seed.
+    given seed; with noise on, a negative seed raises ``DomainError``.
     """
     if state.dim != 2:
         raise ShapeError("interferometer input must be a two-component state")
@@ -150,6 +150,10 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     i1 = np.abs(out1) ** 2
     i2 = np.abs(out2) ** 2
     if cfg.shot_noise_sigma > 0.0:
+        if rng_seed < 0:
+            raise DomainError(
+                f"noise seed must be a nonnegative integer, got {rng_seed!r}"
+            )
         rng = np.random.default_rng(rng_seed)
         i1 = i1 + rng.normal(0.0, cfg.shot_noise_sigma, phases.size)
         i2 = i2 + rng.normal(0.0, cfg.shot_noise_sigma, phases.size)

@@ -1,25 +1,21 @@
 """Dense complex matrix kernel.
 
 Matrix coercion, max-norm residuals (Hermiticity, unitarity, involution)
-and a cyclic Jacobi eigensolver for Hermitian matrices.  Everything in this
-module is a pure function of ``numpy`` arrays; matrices are dense,
+and the package's one eigensolver for Hermitian matrices.  Everything in
+this module is a pure function of ``numpy`` arrays; matrices are dense,
 row-major, and small (the package is designed for dimensions up to 64).
 
-The eigensolver is deliberately self-contained: it applies complex Jacobi
-rotations that annihilate one off-diagonal pair at a time, sweeping
-cyclically until the largest off-diagonal magnitude falls below an absolute
-threshold.  ``numpy.linalg.eigh`` is used nowhere in the library, which lets
-the test suite cross-check the two routes against each other.
-
-In the library, ``hermitian_eig`` does real work only for the positivity
-gate of ``states.DensityMatrix``.  ``operators.to_projectors`` hands it the
-Rayleigh quotient of a closed-form eigenbasis, which for an involution
-exact to rounding is already diagonal below the rotation threshold.
+``hermitian_eig`` is LAPACK's backward-stable Hermitian solver
+(``numpy.linalg.eigh``, ``zheevd``) between the package's own gates: the
+input must be finite and Hermitian within ``TOL_HERM``, and the result must
+pass an orthonormality and a reconstruction check, so a caller never gets
+an unchecked spectrum.  It serves the positivity gate of
+``states.DensityMatrix`` and the spectral resolution in
+``operators.to_projectors``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +29,6 @@ TOL_ORTHO = 1e-10
 TOL_RECON = 1e-10
 #: Default gate for involution residuals (``H @ H == I``).
 TOL_INV = 1e-10
-
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_OFF_TOL = 1e-13
 
 
 def as_square(a) -> np.ndarray:
@@ -117,22 +110,8 @@ class Spectrum:
         return int(self.eigenvalues.shape[0])
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """2x2 unitary that annihilates the (p, q) entry of a Hermitian matrix
-    with diagonal ``(app, aqq)`` and off-diagonal ``apq``."""
-    beta = abs(apq)
-    phase = apq / beta
-    tau = (aqq - app) / (2.0 * beta)
-    t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
-    if tau < 0.0:
-        t = -t
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    return np.array([[phase * c, phase * s], [-s, c]], dtype=complex)
-
-
 def hermitian_eig(a) -> Spectrum:
-    """Eigendecompose a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecompose a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Parameters
     ----------
@@ -151,64 +130,29 @@ def hermitian_eig(a) -> Spectrum:
     DomainError
         If the input is not Hermitian within ``TOL_HERM``.
     ConvergenceError
-        If the sweep cap is exhausted before the off-diagonal mass falls
-        below the threshold (does not occur for finite Hermitian input).
+        If LAPACK reports no convergence, or the result fails the
+        orthonormality or reconstruction check (which a non-finite result,
+        say from entries near the float overflow limit, always does).
     """
     m = as_square(a)
-    n = m.shape[0]
-    if hermiticity_residual(m) > TOL_HERM:
+    herm = hermiticity_residual(m)
+    if herm > TOL_HERM:
         raise DomainError(
-            f"matrix is not Hermitian within {TOL_HERM:g} "
-            f"(residual {hermiticity_residual(m):.3e})"
+            f"matrix is not Hermitian within {TOL_HERM:g} (residual {herm:.3e})"
         )
-    # Exact Hermitian symmetrization so rotations preserve the structure.
     h = (m + m.conj().T) / 2.0
-    scale = max(1.0, max_abs(h))
-    h = h / scale
-    v = np.eye(n, dtype=complex)
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    if n == 1:
-        return Spectrum(np.array([h[0, 0].real * scale]), v)
-
-    converged = False
-    for _ in range(_JACOBI_SWEEP_CAP):
-        off = np.abs(h - np.diag(np.diag(h)))
-        if off.max() < _JACOBI_OFF_TOL:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) < _JACOBI_OFF_TOL:
-                    continue
-                u = _jacobi_rotation(h[p, p].real, h[q, q].real, h[p, q])
-                h[:, [p, q]] = h[:, [p, q]] @ u
-                h[[p, q], :] = u.conj().T @ h[[p, q], :]
-                # Zero by construction; enforce exactly to stop drift.
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ u
-    if not converged:
-        off = np.abs(h - np.diag(np.diag(h)))
-        if off.max() >= _JACOBI_OFF_TOL:
-            raise ConvergenceError(
-                f"Jacobi sweep cap ({_JACOBI_SWEEP_CAP}) exhausted with "
-                f"off-diagonal magnitude {off.max():.3e}"
-            )
-
-    eigenvalues = np.real(np.diag(h)) * scale
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    eigenvectors = v[:, order]
-
-    ortho = max_abs(eigenvectors.conj().T @ eigenvectors - np.eye(n))
-    if ortho > TOL_ORTHO:
+    ortho = max_abs(eigenvectors.conj().T @ eigenvectors - np.eye(m.shape[0]))
+    if not ortho <= TOL_ORTHO:
         raise ConvergenceError(
             f"eigenvector orthonormality residual {ortho:.3e} exceeds tolerance"
         )
     recon = max_abs(m - (eigenvectors * eigenvalues) @ eigenvectors.conj().T)
-    if recon > TOL_RECON * max(1.0, scale):
+    if not recon <= TOL_RECON * max(1.0, max_abs(h)):
         raise ConvergenceError(
             f"spectral reconstruction residual {recon:.3e} exceeds tolerance"
         )

@@ -64,7 +64,7 @@ def _nearest_trace_class(trace: complex, dim: int) -> tuple[int, float]:
     return k, abs(trace - k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenschaftOp:
     """A Hermitian involution; its trace class and multiplicities
     ``(n_plus, n_minus)`` are read off the trace.
@@ -152,7 +152,7 @@ def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """A complete orthogonal family of one-dimensional projectors.
 
@@ -377,75 +377,20 @@ def from_projector_flip(ps: ProjectorSet, signs) -> EigenschaftOp:
     return EigenschaftOp.from_matrix(h)
 
 
-def _eigenbasis(h: np.ndarray, n_minus: int) -> np.ndarray:
-    """Orthonormal columns spanning the range of ``(I - h)/2`` (the first
-    ``n_minus``) and then the range of ``(I + h)/2`` (the rest).
-
-    Pivoted modified Gram-Schmidt: each step takes the remaining column of
-    largest norm (ties to the lowest index), orthogonalises it once more
-    against every column taken so far, and sweeps it out of the remaining
-    columns.  The second range starts with the first one projected out.
-
-    What remains of a projector of rank ``r`` after ``k < r`` of its
-    directions are swept out is a projector of rank ``r - k``, whose largest
-    column has squared norm at least ``1/n``.  A pivot below ``1/(2n)``
-    means the range is short of the rank the trace promised, so ``h`` is
-    no involution; it raises ``DomainError`` rather than normalising a
-    vanishing column.
-    """
-    n = h.shape[0]
-    eye = np.eye(n, dtype=complex)
-    basis = np.empty((n, n), dtype=complex)
-    floor = 0.5 / n
-    for start, stop, sign in ((0, n_minus, "-"), (n_minus, n, "+")):
-        p = (eye - h) / 2.0 if sign == "-" else (eye + h) / 2.0
-        taken = basis[:, :start]
-        a = p - taken @ (taken.conj().T @ p)
-        for k in range(start, stop):
-            col = a[:, np.argmax(np.einsum("ij,ij->j", a.conj(), a).real)]
-            taken = basis[:, :k]
-            col = col - taken @ (taken.conj().T @ col)
-            norm2 = np.vdot(col, col).real
-            if not norm2 > floor:
-                raise DomainError(
-                    f"range of (I {sign} H)/2 has rank below {stop - start}; "
-                    "input is not an involution"
-                )
-            col = col / np.sqrt(norm2)
-            basis[:, k] = col
-            a -= col[:, None] * (col.conj() @ a)
-    return basis
-
-
 def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     """Spectral resolution of an involution into rank-1 projectors.
 
-    The eigenspaces of an involution are the ranges of ``P- = (I - H)/2``
-    and ``P+ = (I + H)/2``, of ranks ``n_minus`` and ``n_plus``.  Their
-    orthonormal bases come from pivoted modified Gram-Schmidt with one
-    re-orthogonalisation, O(n^3) in all; a range short of its rank (which
-    only a matrix that is no involution can give) raises ``DomainError``
-    there.  The Rayleigh quotient ``V^dag H V`` of the joint basis is then
-    handed to :func:`hermitian_eig`: for an involution exact to rounding it is
-    diagonal below the Jacobi threshold, so the solver only sorts and
-    checks it, while a near-involution gets the rotations that make the
-    columns eigenvectors of ``H``.  Its eigenvalues are those
-    of ``H``, so the gate is the one a direct eigensolve gives: the input
+    ``H`` is diagonalised by :func:`hermitian_eig`, and each eigenvector
+    gives one projector.  The gate is that of the eigensolve: the input
     Hermitian within ``TOL_HERM`` and every eigenvalue within 1e-8 of +-1,
     whatever tolerance admitted the operator.  Signs come out ascending,
     ``(-1,) * n_minus + (1,) * n_plus``.
 
-    Inside each eigenspace the basis is deterministic but not canonical;
-    only sign-weighted sums (which reproduce the operator) are canonical.
+    Inside each eigenspace the basis is LAPACK's: deterministic but not
+    canonical; only sign-weighted sums (which reproduce the operator) are
+    canonical.
     """
-    herm = hermiticity_residual(op.matrix)
-    if herm > TOL_HERM:
-        raise DomainError(
-            f"matrix is not Hermitian within {TOL_HERM:g} (residual {herm:.3e})"
-        )
-    h = (op.matrix + op.matrix.conj().T) / 2.0
-    basis = _eigenbasis(h, op.multiplicities[1])
-    spectrum = hermitian_eig(basis.conj().T @ h @ basis)
+    spectrum = hermitian_eig(op.matrix)
     signs = []
     for lam in spectrum.eigenvalues:
         k = 1 if lam > 0 else -1
@@ -455,7 +400,7 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
                 "input is not an involution"
             )
         signs.append(k)
-    projectors = ProjectorSet.from_columns(basis @ spectrum.eigenvectors)
+    projectors = ProjectorSet.from_columns(spectrum.eigenvectors)
     return ProjectorDecomposition(projectors, tuple(signs))
 
 

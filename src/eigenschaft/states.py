@@ -34,7 +34,7 @@ def _as_amplitudes(values) -> np.ndarray:
     return amp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitude vector."""
 
@@ -72,7 +72,7 @@ class StateVector:
         return cls(amp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator."""
 

@@ -1,9 +1,10 @@
 """Shared random generators for the test suite.
 
 Random involutions are built the canonical way: draw a Haar unitary, take
-rank-1 projectors onto its columns, and flip a subset of signs.  numpy's
-LAPACK-backed routines appear here (and only here) as the independent
-oracle route against the package's own eigensolver.
+rank-1 projectors onto its columns, and flip a subset of signs.  The
+structure a test relies on (a Haar frame, +-1 signs, a trace class, unit
+norm) is planted by construction, so the package is checked against what
+was planted, not against a second eigensolver.
 """
 
 from __future__ import annotations

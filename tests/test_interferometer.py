@@ -93,6 +93,17 @@ class TestRunInterferometer:
         assert np.min(fr1.intensity_port1) >= 0.0
         assert np.min(fr1.intensity_port2) >= 0.0
 
+    def test_negative_seed_with_noise_is_domain_error(self):
+        state = two_arm_state(0.6, 0.8, 1.0)
+        with pytest.raises(DomainError, match="seed must be a nonnegative"):
+            run_interferometer(state, config(8, sigma=0.1), rng_seed=-1)
+        with pytest.raises(DomainError, match="seed must be a nonnegative"):
+            holographic_report(state, config(8, sigma=0.1), seed=-1)
+        # Without noise the seed is never used.
+        quiet = run_interferometer(state, config(8), rng_seed=-1)
+        assert np.array_equal(quiet.intensity_port1,
+                              run_interferometer(state, config(8)).intensity_port1)
+
     def test_rejects_wrong_state_dimension(self):
         with pytest.raises(ShapeError):
             run_interferometer(StateVector.basis_state(3, 0), config())

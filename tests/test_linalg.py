@@ -1,8 +1,12 @@
+import copy
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eigenschaft.cli import main
+from eigenschaft.dynamics import TwoLevelSystem
 from eigenschaft.errors import ConvergenceError, DomainError, ShapeError
 from eigenschaft.interferometer import FringeRecord, InterferometerConfig
 from eigenschaft.linalg import (
@@ -19,6 +23,7 @@ from eigenschaft.states import DensityMatrix, StateVector
 
 from helpers import haar_unitary, random_hermitian, random_involution
 
+DATA = Path(__file__).parent / "data"
 RNG = lambda seed: np.random.default_rng(seed)  # noqa: E731
 
 
@@ -98,6 +103,39 @@ def _given_and_stored(kind):
     return [phases, i1, i2], [fr.phases, fr.intensity_port1, fr.intensity_port2]
 
 
+class TestDataclassIdentity:
+    """Dataclasses that hold arrays compare and hash by identity; a
+    tolerance-free ``==`` over their arrays would invite misuse."""
+
+    @pytest.mark.parametrize("kind", [
+        "EigenschaftOp", "ProjectorSet", "StateVector", "DensityMatrix",
+        "InterferometerConfig", "FringeRecord", "TwoLevelSystem",
+    ])
+    def test_equality_and_hash(self, kind):
+        a = _instance(kind)
+        b = copy.deepcopy(a)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
+def _instance(kind):
+    """One instance of a package dataclass that holds arrays (with more
+    than one sample where the array is a sweep)."""
+    phases = np.linspace(0.0, 1.0, 4)
+    return {
+        "EigenschaftOp": lambda: hadamard(),
+        "ProjectorSet": lambda: ProjectorSet.standard_basis(2),
+        "StateVector": lambda: StateVector.basis_state(2, 0),
+        "DensityMatrix": lambda: DensityMatrix(np.full((2, 2), 0.5)),
+        "InterferometerConfig": lambda: InterferometerConfig(hadamard(), phases),
+        "FringeRecord": lambda: FringeRecord(phases, phases / 2.0,
+                                             1.0 - phases / 2.0),
+        "TwoLevelSystem": lambda: TwoLevelSystem(1.0, 0.0, hadamard()),
+    }[kind]()
+
+
 class TestHermitianEig:
     def test_diagonal_case(self):
         s = hermitian_eig(np.diag([1.0, -1.0]))
@@ -126,8 +164,33 @@ class TestHermitianEig:
             assert max_abs(gram - np.eye(n)) <= 1e-10
             recon = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
             assert max_abs(a - recon) <= 1e-10
-            # Independent route: LAPACK eigenvalues must agree.
-            assert max_abs(s.eigenvalues - np.linalg.eigvalsh(a)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 64])
+    @pytest.mark.parametrize("kind", ["involution", "clusters", "distinct",
+                                      "scaled"])
+    def test_planted_spectrum(self, n, kind):
+        """``U diag(w) U^dag`` for a Haar ``U`` has the spectrum ``w`` by
+        construction, which checks the solver against nothing it computes
+        itself.  The bound is 1e-10 at unit scale, scaled like the
+        reconstruction gate for the input far above it."""
+        rng = RNG(100 + n)
+        if kind == "involution":
+            w = rng.choice([-1.0, 1.0], size=n)
+        elif kind == "clusters":
+            w = rng.choice([-1.0, -1.0 + 1e-9, 0.25, 1.0], size=n)
+        else:
+            w = rng.uniform(-3.0, 3.0, size=n)
+        if kind == "scaled":
+            w = 1e6 * w
+        u = haar_unitary(n, rng)
+        a = (u * w) @ u.conj().T
+        a = (a + a.conj().T) / 2.0
+        s = hermitian_eig(a)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        assert max_abs(s.eigenvalues - np.sort(w)) <= 1e-10 * scale
+        v = s.eigenvectors
+        assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-10
+        assert max_abs(a @ v - v * s.eigenvalues) <= 1e-10 * scale
 
     def test_dim64_stress(self):
         a = random_hermitian(64, RNG(4))
@@ -143,8 +206,31 @@ class TestHermitianEig:
             hermitian_eig(np.ones((2, 3)))
 
     def test_convergence_error_is_exported(self):
-        # The cap is generous; just check the class wiring.
         assert issubclass(ConvergenceError, RuntimeError)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, capsys):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            hermitian_eig(np.eye(2))
+        assert main(["convert", "--op", str(DATA / "hadamard_op.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: eigensolver did not converge")
+
+    def test_non_finite_result_is_convergence_error(self):
+        """Off-diagonals near the float limit overflow the symmetrisation;
+        the NaN spectrum fails the post-checks rather than passing them
+        (and so letting ``DensityMatrix`` accept a matrix that is not
+        positive semidefinite)."""
+        m = np.array([[0.5, 1e308], [1e308, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="residual nan"):
+                hermitian_eig(m)
+            with pytest.raises(ConvergenceError):
+                DensityMatrix(m)
 
 
 class TestUnitarySelfAdjointTheorem:

@@ -3,7 +3,6 @@ import pytest
 
 from eigenschaft.errors import ConstructionError, DomainError, ShapeError
 from eigenschaft.linalg import (
-    _JACOBI_OFF_TOL,
     TOL_HERM,
     TOL_INV,
     TOL_ORTHO,
@@ -436,10 +435,10 @@ class TestToProjectorsDomain:
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip(pd.projectors.projectors, again.projectors.projectors))
         # Each member's vector is an eigenvector of H for its sign, and the
-        # frame diagonalises H below the eigensolver's rotation threshold.
+        # frame diagonalises H to 1e-13.
         assert max_abs(m @ v - v * np.array(pd.signs)) <= 1e-13
         t = v.conj().T @ m @ v
-        assert max_abs(t - np.diag(np.diag(t))) < _JACOBI_OFF_TOL
+        assert max_abs(t - np.diag(np.diag(t))) < 1e-13
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     @pytest.mark.parametrize("eps", [1e-7, 1e-6])
@@ -451,8 +450,7 @@ class TestToProjectorsDomain:
         ``scaled`` is ``(1 + eps) H``, eigenvalues ``+-(1 + eps)``.
         ``split`` couples two states of one eigenspace of a diagonal
         involution by ``eps``: the eigenvalue splits to ``1 +- eps``, while
-        the Rayleigh quotients of the pivoted basis stay within ``eps**2``
-        of 1, so only the eigenvalues of ``V^dag H V`` show it."""
+        the diagonal stays at exactly 1, so only the eigenvalues show it."""
         if shape == "scaled":
             m = (1.0 + eps) * random_involution(n, np.random.default_rng(80 + n),
                                                 trace_class=0)
