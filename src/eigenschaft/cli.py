@@ -13,6 +13,7 @@ tolerance (``linalg.TOL_INV``) used when admitting operator files and by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -224,7 +225,13 @@ def _cmd_simulate(args) -> tuple[str, int]:
     return serialize.dumps(serialize.holographic_report_to_dict(report)), 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every subcommand, built on the first call.
+
+    The returned parser is shared by every later call in the process, so
+    callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="eigenschaft",
         description="Construct, validate, and exercise Hermitian involutions.",

@@ -74,25 +74,39 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
+def _quiet_overflow():
+    """Silence numpy's overflow and invalid-value warnings.
+
+    Finite entries near the float limit can overflow in the residual and
+    symmetrisation arithmetic below.  The ``inf`` or ``nan`` that results
+    fails the caller's tolerance gate, so numpy's warning would only be
+    noise on stderr ahead of the gate's own message.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow()
 def hermiticity_residual(a) -> float:
     """``max_abs(a - a^dag)``; zero iff ``a`` is Hermitian."""
     m = as_square(a)
     return max_abs(m - m.conj().T)
 
 
+@_quiet_overflow()
 def unitarity_residual(a) -> float:
     """``max_abs(a @ a^dag - I)``; zero iff ``a`` is unitary."""
     m = as_square(a)
     return max_abs(m @ m.conj().T - np.eye(m.shape[0]))
 
 
+@_quiet_overflow()
 def involution_residual(a) -> float:
     """``max_abs(a @ a - I)``; zero iff ``a`` squares to the identity."""
     m = as_square(a)
     return max_abs(m @ m - np.eye(m.shape[0]))
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -140,7 +154,8 @@ def hermitian_eig(a) -> Spectrum:
         raise DomainError(
             f"matrix is not Hermitian within {TOL_HERM:g} (residual {herm:.3e})"
         )
-    h = (m + m.conj().T) / 2.0
+    with _quiet_overflow():
+        h = (m + m.conj().T) / 2.0
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

@@ -461,7 +461,7 @@ class ProductExpansion(NamedTuple):
     expressible: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class AlgebraTable:
     """Pairwise products and commutators of an involution family."""
 
@@ -512,7 +512,7 @@ def algebra_table(family: list[EigenschaftOp]) -> AlgebraTable:
     return AlgebraTable(dim=dim, products=products, commutator_norms=commutators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Residuals quantifying how far a matrix is from a Hermitian involution.
 

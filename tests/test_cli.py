@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigenschaft import cli
 from eigenschaft.cli import main
 from eigenschaft.interferometer import (
     InterferometerConfig,
@@ -588,6 +589,69 @@ class TestUnreadableInput:
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"error: ")
         assert message.encode() in proc.stderr
+
+
+class TestNearFloatLimit:
+    """Entries near the float limit overflow inside the kernel's residuals;
+    the gate's message is the only line on stderr, with no numpy warning
+    ahead of it."""
+
+    SYMMETRIC = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}'
+    SKEW = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}'
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["classify", "--rho"], SYMMETRIC,
+         "eigenvector orthonormality residual nan exceeds tolerance"),
+        (["classify", "--rho"], SKEW, "density matrix must be Hermitian"),
+        (["convert", "--op"], SKEW, "not Hermitian: residual inf exceeds 1e-10"),
+        (["convert", "--op"], SYMMETRIC,
+         "not an involution: residual inf exceeds 1e-10"),
+    ], ids=["classify-symmetric", "classify-skew", "convert-skew",
+            "convert-symmetric"])
+    def test_one_error_line(self, tmp_path, argv, payload, message):
+        f = tmp_path / "huge.json"
+        f.write_text(payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft", *argv, str(f)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+
+class TestParserReuse:
+    """One parser serves every ``cli.main`` call in a process."""
+
+    SEQUENCE = [
+        ["construct", "h2", "--gamma", "45", "--dphi", "0"],
+        ["simulate", "--state", EQUAL_STATE, "--phases", "16", "--seed", "-1"],
+        ["--help"],
+        ["convert"],
+        ["construct", "h2", "--gamma", "30", "--dphi", "90"],
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_same_output_as_a_fresh_parser(self, capsys, monkeypatch):
+        def run_all():
+            results = []
+            for argv in self.SEQUENCE:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        shared = run_all()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_all()
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0]
+        assert all(err == "" for _, _, err in (shared[0], shared[2], shared[4]))
 
 
 class TestUsageErrors:

@@ -18,7 +18,13 @@ from eigenschaft.linalg import (
     max_abs,
     unitarity_residual,
 )
-from eigenschaft.operators import EigenschaftOp, ProjectorSet, hadamard
+from eigenschaft.operators import (
+    EigenschaftOp,
+    ProjectorSet,
+    algebra_table,
+    hadamard,
+    validate,
+)
 from eigenschaft.states import DensityMatrix, StateVector
 
 from helpers import haar_unitary, random_hermitian, random_involution
@@ -104,12 +110,13 @@ def _given_and_stored(kind):
 
 
 class TestDataclassIdentity:
-    """Dataclasses that hold arrays compare and hash by identity; a
-    tolerance-free ``==`` over their arrays would invite misuse."""
+    """Dataclasses that hold arrays or dicts compare and hash by identity;
+    a tolerance-free ``==`` over their fields would invite misuse."""
 
     @pytest.mark.parametrize("kind", [
         "EigenschaftOp", "ProjectorSet", "StateVector", "DensityMatrix",
         "InterferometerConfig", "FringeRecord", "TwoLevelSystem",
+        "Spectrum", "AlgebraTable", "ValidationReport",
     ])
     def test_equality_and_hash(self, kind):
         a = _instance(kind)
@@ -121,8 +128,8 @@ class TestDataclassIdentity:
 
 
 def _instance(kind):
-    """One instance of a package dataclass that holds arrays (with more
-    than one sample where the array is a sweep)."""
+    """One instance of a package dataclass that holds arrays or dicts (with
+    more than one sample where the array is a sweep)."""
     phases = np.linspace(0.0, 1.0, 4)
     return {
         "EigenschaftOp": lambda: hadamard(),
@@ -133,6 +140,9 @@ def _instance(kind):
         "FringeRecord": lambda: FringeRecord(phases, phases / 2.0,
                                              1.0 - phases / 2.0),
         "TwoLevelSystem": lambda: TwoLevelSystem(1.0, 0.0, hadamard()),
+        "Spectrum": lambda: hermitian_eig(np.eye(2)),
+        "AlgebraTable": lambda: algebra_table([hadamard()]),
+        "ValidationReport": lambda: validate(np.eye(3)),
     }[kind]()
 
 
