@@ -80,4 +80,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

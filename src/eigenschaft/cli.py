@@ -5,9 +5,6 @@ to stderr.  Exit codes: 0 success, 1 domain error (mathematically invalid
 input), 2 usage error (bad flags, unreadable or malformed files).
 
 Angles on the command line are degrees; the library works in radians.
-The environment variable ``EIGENSCHAFT_TOL`` overrides the default gate
-tolerance (``linalg.TOL_INV``) used when admitting operator files and by
-``validate --strict``.
 """
 
 from __future__ import annotations
@@ -16,12 +13,11 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from . import serialize
 from .dynamics import TwoLevelSystem, beat_trace, evolve_h2
-from .errors import EigenschaftError, SerializationError
+from .errors import DomainError, EigenschaftError, SerializationError
 from .interferometer import (
     InterferometerConfig,
     holographic_report,
@@ -43,26 +39,11 @@ from .operators import (
 )
 from .states import DensityMatrix, classify, decompose_state
 
-ENV_TOL = "EIGENSCHAFT_TOL"
-
 _KRON_MEMBERS = {"ib": 0, "ai": 1, "ab": 2}
 
 
 class UsageError(Exception):
     """Command-level usage problem; maps to exit code 2."""
-
-
-def gate_tolerance() -> float:
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return TOL_INV
-    try:
-        value = float(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_TOL} must be a number, got {raw!r}")
-    if not value > 0.0 or not math.isfinite(value):
-        raise UsageError(f"{ENV_TOL} must be a positive finite number")
-    return value
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -117,8 +98,7 @@ def _load_json(path: str):
 
 
 def _read_op(path: str):
-    tol = gate_tolerance()
-    return serialize.op_from_dict(_load_json(path), tol=tol)
+    return serialize.op_from_dict(_load_json(path))
 
 
 def _cmd_construct_h2(args) -> tuple[str, int]:
@@ -156,18 +136,25 @@ def _cmd_construct_flip(args) -> tuple[str, int]:
 def _cmd_validate(args) -> tuple[str, int]:
     m = serialize.matrix_from_dict(_load_json(args.matrix))
     report = validate(m)
-    payload = serialize.dumps(serialize.validation_report_to_dict(report))
+    fields = serialize.validation_report_to_dict(report)
+    overflowed = [k for k, v in fields.items()
+                  if isinstance(v, float) and not math.isfinite(v)]
+    if overflowed:
+        raise DomainError(
+            f"report overflows near the float limit: "
+            f"{', '.join(overflowed)} not finite"
+        )
+    payload = serialize.dumps(fields)
     code = 0
-    if args.strict:
-        tol = gate_tolerance()
-        if report.involution_residual > tol or report.hermiticity_residual > tol:
-            print(
-                f"strict gate failed: involution residual "
-                f"{report.involution_residual:.3e}, hermiticity residual "
-                f"{report.hermiticity_residual:.3e}, tolerance {tol:g}",
-                file=sys.stderr,
-            )
-            code = 1
+    if args.strict and (report.involution_residual > TOL_INV
+                        or report.hermiticity_residual > TOL_INV):
+        print(
+            f"strict gate failed: involution residual "
+            f"{report.involution_residual:.3e}, hermiticity residual "
+            f"{report.hermiticity_residual:.3e}, tolerance {TOL_INV:g}",
+            file=sys.stderr,
+        )
+        code = 1
     return payload, code
 
 
@@ -235,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenschaft",
         description="Construct, validate, and exercise Hermitian involutions.",
-        epilog=f"Set {ENV_TOL} to override the {TOL_INV:g} gate tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="matrix JSON file, or - for stdin (default)")
     val.add_argument("--strict", action="store_true",
                      help="exit 1 unless Hermiticity and involution residuals "
-                          "pass the gate tolerance")
+                          f"are within {TOL_INV:g}")
     val.set_defaults(handler=_cmd_validate)
 
     conv = sub.add_parser(

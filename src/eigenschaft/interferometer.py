@@ -222,11 +222,11 @@ def holographic_report(state: StateVector, cfg: InterferometerConfig,
     (within ``TOL_INV``); any other raises ``DomainError``.
     """
     h = cfg.splitter.matrix
-    coupling = complex(np.conj(h[0, 0]) * h[0, 1])
-    if abs(coupling - 0.5) > TOL_INV:
+    gap = abs(complex(np.conj(h[0, 0]) * h[0, 1]) - 0.5)
+    if gap > TOL_INV:
         raise DomainError(
             f"holographic recovery needs the 50/50 splitter, conj(H00)*H01 "
-            f"= 1/2; this splitter gives {coupling:.6g}"
+            f"= 1/2; this splitter is {gap:.3e} off, past {TOL_INV:g}"
         )
     fringe = run_interferometer(state, cfg, rng_seed=seed)
     result = recover_state(fringe)

@@ -33,6 +33,7 @@ from .errors import ConstructionError, DomainError, ShapeError
 from .linalg import (
     TOL_HERM,
     TOL_INV,
+    _quiet_overflow,
     as_square,
     freeze_fields,
     hermitian_eig,
@@ -56,12 +57,19 @@ def wrap_phase(x):
     return wrapped
 
 
-def _nearest_trace_class(trace: complex, dim: int) -> tuple[int, float]:
-    """Nearest integer of the correct parity, clamped to [-dim, dim]."""
+def _trace_class(m: np.ndarray) -> tuple[complex, int, float]:
+    """The trace, the nearest integer of the dimension's parity clamped to
+    ``[-dim, dim]``, and their distance; ``inf`` for a trace that overflows.
+    """
+    dim = m.shape[0]
     parity = dim % 2
+    with _quiet_overflow():
+        trace = complex(np.trace(m))
+    if not np.isfinite(trace):
+        return trace, parity, np.inf
     k = int(round((trace.real - parity) / 2.0)) * 2 + parity
     k = max(-dim, min(dim, k))
-    return k, abs(trace - k)
+    return trace, k, abs(trace - k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +78,10 @@ class EigenschaftOp:
     ``(n_plus, n_minus)`` are read off the trace.
 
     Use :meth:`from_matrix` to build one from a foreign matrix; it gates on
-    the Hermiticity and involution residuals.  The plain constructor only
-    refuses a trace not within 1e-8 of a trace class and trusts the rest,
-    which is what the in-package builders rely on.
+    the Hermiticity and involution residuals, as every in-package builder
+    does.  The plain constructor only refuses a trace not within 1e-8 of a
+    trace class and trusts the rest: ``from_matrix`` calls it once its
+    gates pass, and so may a caller that already trusts its matrix.
     """
 
     matrix: np.ndarray
@@ -80,8 +89,7 @@ class EigenschaftOp:
 
     def __post_init__(self):
         m = as_square(self.matrix)
-        trace = complex(np.trace(m))
-        tc, dist = _nearest_trace_class(trace, m.shape[0])
+        trace, tc, dist = _trace_class(m)
         if dist > 1e-8:
             raise DomainError(
                 f"trace {trace!r} is {dist:.3e} away from the nearest "
@@ -99,23 +107,23 @@ class EigenschaftOp:
         return n_plus, self.dim - n_plus
 
     @classmethod
-    def from_matrix(cls, m, *, tol: float = TOL_INV) -> "EigenschaftOp":
+    def from_matrix(cls, m) -> "EigenschaftOp":
         """Validate a matrix as a Hermitian involution and wrap it.
 
-        Raises ``DomainError`` when the Hermiticity or involution residual
-        exceeds ``tol``, or when the trace is not close to an integer of
-        the correct parity.
+        Raises ``DomainError`` when the Hermiticity residual exceeds
+        ``TOL_HERM`` or the involution residual exceeds ``TOL_INV``, or
+        when the trace is not close to an integer of the correct parity.
         """
         mat = as_square(m)
         herm = hermiticity_residual(mat)
-        if herm > tol:
+        if herm > TOL_HERM:
             raise DomainError(
-                f"not Hermitian: residual {herm:.3e} exceeds {tol:g}"
+                f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
             )
         inv = involution_residual(mat)
-        if inv > tol:
+        if inv > TOL_INV:
             raise DomainError(
-                f"not an involution: residual {inv:.3e} exceeds {tol:g}"
+                f"not an involution: residual {inv:.3e} exceeds {TOL_INV:g}"
             )
         return cls(mat)
 
@@ -383,7 +391,8 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     ``H`` is diagonalised by :func:`hermitian_eig`, and each eigenvector
     gives one projector.  The gate is that of the eigensolve: the input
     Hermitian within ``TOL_HERM`` and every eigenvalue within 1e-8 of +-1,
-    whatever tolerance admitted the operator.  Signs come out ascending,
+    also for an operator the plain constructor admitted without the
+    residual gates.  Signs come out ascending,
     ``(-1,) * n_minus + (1,) * n_plus``.
 
     Inside each eigenspace the basis is LAPACK's: deterministic but not
@@ -396,7 +405,7 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
         k = 1 if lam > 0 else -1
         if not abs(lam - k) <= 1e-8:
             raise DomainError(
-                f"eigenvalue {lam!r} is not within 1e-8 of +-1; "
+                f"eigenvalue {float(lam)!r} is not within 1e-8 of +-1; "
                 "input is not an involution"
             )
         signs.append(k)
@@ -545,19 +554,20 @@ def _closure_residual(m: np.ndarray, s: float, dep: tuple[int, int],
     return abs(wrap_phase(phi[0] - (phi[1] - phi[2])))
 
 
+@_quiet_overflow()
 def validate(matrix) -> ValidationReport:
     """Residual report for an arbitrary square matrix.
 
     Accepts a plain array or an :class:`EigenschaftOp`.  Never raises on
-    bad numbers; every deviation shows up as a residual.
+    bad numbers; every deviation shows up as a residual, which is ``inf``
+    or ``nan`` where entries near the float limit overflow.
     """
     if isinstance(matrix, EigenschaftOp):
         m = matrix.matrix
     else:
         m = as_square(matrix)
     n = m.shape[0]
-    trace = complex(np.trace(m))
-    tc, dist = _nearest_trace_class(trace, n)
+    trace, tc, dist = _trace_class(m)
     relations: dict[str, float] = {}
 
     diag = np.real(np.diag(m))

@@ -23,7 +23,6 @@ import numpy as np
 from .dynamics import BeatSample
 from .errors import SerializationError
 from .interferometer import FringeRecord, HolographicReport
-from .linalg import TOL_INV
 from .operators import (
     EigenschaftOp,
     ProjectorDecomposition,
@@ -260,13 +259,14 @@ def op_to_dict(op: EigenschaftOp) -> dict:
     return out
 
 
-def op_from_dict(d, *, tol: float = TOL_INV) -> EigenschaftOp:
-    """Parse and re-validate an operator payload.
+def op_from_dict(d) -> EigenschaftOp:
+    """Parse an operator payload and admit it through
+    :meth:`EigenschaftOp.from_matrix`.
 
     A present ``trace_class`` must agree with the one inferred from the
-    matrix.  ``tol`` is the gate of :meth:`EigenschaftOp.from_matrix`.
+    matrix.
     """
-    op = EigenschaftOp.from_matrix(matrix_from_dict(d), tol=tol)
+    op = EigenschaftOp.from_matrix(matrix_from_dict(d))
     declared = d.get("trace_class")
     if declared is not None:
         if isinstance(declared, bool) or not isinstance(declared, int):

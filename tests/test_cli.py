@@ -164,6 +164,17 @@ def _validate_inputs() -> dict:
     }
 
 
+def _near_hadamard(tmp_path) -> str:
+    """A Hadamard file with both off-diagonals moved by 1e-7: Hermitian, and
+    about 1.4e-7 from an involution."""
+    m = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    m[0, 1] += 1e-7
+    m[1, 0] += 1e-7
+    f = tmp_path / "near.json"
+    f.write_text(json.dumps(matrix_to_dict(m)))
+    return str(f)
+
+
 class TestValidate:
     def test_report_golden(self, capsys):
         code, out, _ = run_cli(capsys, "validate", HADAMARD_OP)
@@ -218,43 +229,28 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", HADAMARD_OP, "--strict")
         assert code == 0
 
-    def test_env_tolerance_loosens_gate(self, capsys, tmp_path, monkeypatch):
-        m = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        m[0, 1] += 1e-7
-        m[1, 0] += 1e-7
-        f = tmp_path / "near.json"
-        f.write_text(json.dumps({
-            "dim": 2,
-            "entries": [[float(x), 0.0] for x in m.ravel()],
-        }))
-        code, _, _ = run_cli(capsys, "validate", str(f), "--strict")
+    def test_strict_refuses_near_involution(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", _near_hadamard(tmp_path),
+                                 "--strict")
         assert code == 1
-        monkeypatch.setenv("EIGENSCHAFT_TOL", "1e-3")
-        code, _, _ = run_cli(capsys, "validate", str(f), "--strict")
-        assert code == 0
+        assert json.loads(out)["involution_residual"] > 1e-10
+        assert err == ("strict gate failed: involution residual 1.414e-07, "
+                       "hermiticity residual 0.000e+00, tolerance 1e-10\n")
 
     def test_env_tolerance_does_not_loosen_projector_gate(self, capsys, tmp_path,
                                                            monkeypatch):
-        # The relaxed tolerance admits the operator, but its eigenvalues
-        # sit about 7e-8 from +-1, past the fixed 1e-8 spectral gate.
-        m = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        m[0, 1] += 1e-7
-        m[1, 0] += 1e-7
-        f = tmp_path / "near.json"
-        f.write_text(json.dumps({
-            "dim": 2,
-            "entries": [[float(x), 0.0] for x in m.ravel()],
-        }))
+        # EIGENSCHAFT_TOL is not read: the operator, whose eigenvalues sit
+        # about 7e-8 from +-1, is refused at admission.
         monkeypatch.setenv("EIGENSCHAFT_TOL", "1e-3")
-        code, out, err = run_cli(capsys, "convert", "--op", str(f))
+        code, out, err = run_cli(capsys, "convert", "--op", _near_hadamard(tmp_path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert err == "error: not an involution: residual 1.414e-07 exceeds 1e-10\n"
 
     def test_env_tolerance_does_not_admit_short_eigenspace(self, capsys, tmp_path,
                                                            monkeypatch):
-        # A gate of 10 admits diag(-1, -1, 3) (involution residual 8,
-        # trace class 1), whose +1 eigenspace is one state short.
+        # diag(-1, -1, 3) has trace class 1, but its +1 eigenspace is one
+        # state short; EIGENSCHAFT_TOL=10 once admitted it.
         f = tmp_path / "short.json"
         f.write_text(json.dumps({
             "dim": 3,
@@ -264,13 +260,23 @@ class TestValidate:
         code, out, err = run_cli(capsys, "convert", "--op", str(f))
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert err == "error: not an involution: residual 8.000e+00 exceeds 1e-10\n"
 
-    def test_bad_env_tolerance_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("EIGENSCHAFT_TOL", "banana")
-        code, _, err = run_cli(capsys, "validate", HADAMARD_OP, "--strict")
-        assert code == 2
-        assert "EIGENSCHAFT_TOL" in err
+    @pytest.mark.parametrize("value", ["1e-3", "10", "banana"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--strict"],
+        ["convert", "--op"],
+        ["simulate", "--state", EQUAL_STATE, "--phases", "16", "--fringes",
+         "--splitter"],
+    ], ids=["validate-strict", "convert", "simulate-fringes"])
+    @pytest.mark.parametrize("source", ["near", HADAMARD_OP, DIAG_OP],
+                             ids=["near-hadamard", "hadamard", "diag3"])
+    def test_env_tolerance_changes_nothing(self, capsys, tmp_path, monkeypatch,
+                                           value, argv, source):
+        path = _near_hadamard(tmp_path) if source == "near" else source
+        unset = run_cli(capsys, *argv, path)
+        monkeypatch.setenv("EIGENSCHAFT_TOL", value)
+        assert run_cli(capsys, *argv, path) == unset
 
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
@@ -468,7 +474,9 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *args)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: holographic recovery needs the 50/50 splitter")
+        assert err == ("error: holographic recovery needs the 50/50 splitter, "
+                       "conj(H00)*H01 = 1/2; this splitter is 6.699e-02 off, "
+                       "past 1e-10\n")
 
         code, out, _ = run_cli(capsys, *args, "--fringes")
         assert code == 0
@@ -594,10 +602,11 @@ class TestUnreadableInput:
 class TestNearFloatLimit:
     """Entries near the float limit overflow inside the kernel's residuals;
     the gate's message is the only line on stderr, with no numpy warning
-    ahead of it."""
+    ahead of it, and ``validate`` writes no report that is not JSON."""
 
     SYMMETRIC = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}'
     SKEW = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}'
+    DIAGONAL = '{"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}'
 
     @pytest.mark.parametrize("argv, payload, message", [
         (["classify", "--rho"], SYMMETRIC,
@@ -606,8 +615,20 @@ class TestNearFloatLimit:
         (["convert", "--op"], SKEW, "not Hermitian: residual inf exceeds 1e-10"),
         (["convert", "--op"], SYMMETRIC,
          "not an involution: residual inf exceeds 1e-10"),
+        (["validate"], SYMMETRIC,
+         "report overflows near the float limit: unitarity_residual, "
+         "involution_residual, unit_norm_1, unit_norm_2 not finite"),
+        (["validate"], SKEW,
+         "report overflows near the float limit: hermiticity_residual, "
+         "unitarity_residual, involution_residual, unit_norm_1, unit_norm_2 "
+         "not finite"),
+        (["validate"], DIAGONAL,
+         "report overflows near the float limit: unitarity_residual, "
+         "involution_residual, trace_re, trace_class_distance, balance, "
+         "unit_norm_1, unit_norm_2 not finite"),
     ], ids=["classify-symmetric", "classify-skew", "convert-skew",
-            "convert-symmetric"])
+            "convert-symmetric", "validate-symmetric", "validate-skew",
+            "validate-diagonal"])
     def test_one_error_line(self, tmp_path, argv, payload, message):
         f = tmp_path / "huge.json"
         f.write_text(payload)

@@ -259,13 +259,22 @@ class TestHolographicReport:
 
     @pytest.mark.parametrize("gamma_deg, dphi_deg", [
         (30.0, 0.0), (45.0, 30.0), (-45.0, 0.0), (45.0, 1e-6),
+        (np.degrees(np.pi / 4 - 3.2e-5), 0.0),
     ])
     def test_refuses_splitter_outside_the_fit_model(self, gamma_deg, dphi_deg):
+        """The refusal reports ``|conj(H00) H01 - 1/2|``, down to the
+        splitter ~1e-9 off at ``pi/4 - 3.2e-5``."""
         splitter = build_h2(H2Params(gamma_angle=np.radians(gamma_deg),
                                      delta_phi=np.radians(dphi_deg)))
+        h = splitter.matrix
+        gap = abs(np.conj(h[0, 0]) * h[0, 1] - 0.5)
         state = two_arm_state(0.6, 0.8, 0.3)
-        with pytest.raises(DomainError, match="needs the 50/50 splitter"):
+        with pytest.raises(DomainError) as exc:
             holographic_report(state, config(32, splitter=splitter))
+        assert str(exc.value) == (
+            "holographic recovery needs the 50/50 splitter, conj(H00)*H01 = 1/2; "
+            f"this splitter is {gap:.3e} off, past 1e-10"
+        )
         # The fringe itself is still recorded for any splitter.
         run_interferometer(state, config(32, splitter=splitter))
 

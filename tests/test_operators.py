@@ -93,18 +93,26 @@ class TestEigenschaftOp:
         with pytest.raises(DomainError, match="involution"):
             EigenschaftOp.from_matrix(np.diag([1.0, 0.5]))
 
-    def test_tolerance_override(self):
+    def test_near_involution_is_refused(self):
+        """``from_matrix`` refuses a residual of 2e-7; the plain constructor
+        trusts the same matrix."""
         near = np.diag([1.0 + 1e-7, -1.0 - 1e-7])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="not an involution"):
             EigenschaftOp.from_matrix(near)
-        op = EigenschaftOp.from_matrix(near, tol=1e-5)
-        assert op.trace_class == 0
+        assert EigenschaftOp(near).trace_class == 0
 
     def test_one_tolerance_gates_both_residuals(self):
         skew = np.array([[1.0, 1e-7], [0.0, -1.0]])
-        with pytest.raises(DomainError, match="not Hermitian: .* exceeds 1e-08"):
-            EigenschaftOp.from_matrix(skew, tol=1e-8)
-        assert EigenschaftOp.from_matrix(skew, tol=1e-6).trace_class == 0
+        with pytest.raises(DomainError) as exc:
+            EigenschaftOp.from_matrix(skew)
+        assert str(exc.value) == "not Hermitian: residual 1.000e-07 exceeds 1e-10"
+        with pytest.raises(DomainError) as exc:
+            EigenschaftOp.from_matrix(np.diag([1.0, -1.0 - 1e-9]))
+        assert str(exc.value) == "not an involution: residual 2.000e-09 exceeds 1e-10"
+
+    def test_overflowing_trace_is_refused(self):
+        with pytest.raises(DomainError, match="trace .* is inf away"):
+            EigenschaftOp(np.diag([1e308, 1e308]))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_constructor_derives_spectral_data(self, n):
@@ -444,7 +452,7 @@ class TestToProjectorsDomain:
     @pytest.mark.parametrize("eps", [1e-7, 1e-6])
     @pytest.mark.parametrize("shape", ["scaled", "split"])
     def test_relaxed_tolerance_keeps_spectral_gate(self, n, eps, shape):
-        """A loosened operator gate admits both near-involutions; neither
+        """The plain constructor admits both near-involutions; neither
         passes the fixed 1e-8 projector gate.
 
         ``scaled`` is ``(1 + eps) H``, eigenvalues ``+-(1 + eps)``.
@@ -457,22 +465,20 @@ class TestToProjectorsDomain:
         else:
             m = np.diag([1.0, 1.0] + [-1.0, 1.0] * ((n - 2) // 2)).astype(complex)
             m[0, 1] = m[1, 0] = eps
-        op = EigenschaftOp.from_matrix(m, tol=1e-3)
         with pytest.raises(DomainError, match="not within 1e-8 of"):
-            to_projectors(op)
+            to_projectors(EigenschaftOp(m))
 
     def test_range_short_of_its_rank_is_refused(self):
         """``diag(-1, -1, 3)`` has trace 1, so the trace promises two +1
-        directions, but ``(I + H)/2`` has rank one.  Refused before any
-        column is normalised, whether a loose gate or the plain
-        constructor admitted it."""
-        m = np.diag([-1.0, -1.0, 3.0])
-        loose = EigenschaftOp.from_matrix(m, tol=10.0)
-        plain = EigenschaftOp(m)
+        directions, but ``(I + H)/2`` has rank one.  The plain constructor
+        admits it; ``to_projectors`` refuses it."""
+        plain = EigenschaftOp(np.diag([-1.0, -1.0, 3.0]))
         assert plain.multiplicities == (2, 1)
-        for op in (loose, plain):
-            with pytest.raises(DomainError, match="not an involution"):
-                to_projectors(op)
+        with pytest.raises(DomainError) as exc:
+            to_projectors(plain)
+        assert str(exc.value) == (
+            "eigenvalue 3.0 is not within 1e-8 of +-1; input is not an involution"
+        )
         short_minus = EigenschaftOp(np.diag([1.0, 1.0, -3.0]))
         assert short_minus.multiplicities == (1, 2)
         with pytest.raises(DomainError, match="not an involution"):
@@ -481,9 +487,8 @@ class TestToProjectorsDomain:
     def test_relaxed_tolerance_keeps_hermiticity_gate(self):
         m = random_involution(8, np.random.default_rng(90), trace_class=2)
         m[0, 1] += 1e-9
-        op = EigenschaftOp.from_matrix(m, tol=1e-3)
         with pytest.raises(DomainError, match="not Hermitian within 1e-10"):
-            to_projectors(op)
+            to_projectors(EigenschaftOp(m))
 
     def test_relaxed_tolerance_admits_exact_spectrum(self):
         """Coupling the two eigenspaces of ``diag(1, -1)`` by 1e-7 moves
@@ -491,8 +496,7 @@ class TestToProjectorsDomain:
         those of the perturbed matrix (roundtrip at the size of that move),
         not the ranges of ``(I +- H)/2``, which would miss by 5e-8."""
         m = np.array([[1.0, 1e-7], [1e-7, -1.0]])
-        op = EigenschaftOp.from_matrix(m, tol=1e-3)
-        pd = to_projectors(op)
+        pd = to_projectors(EigenschaftOp(m))
         rebuilt = from_projector_flip(pd.projectors, pd.signs)
         assert max_abs(rebuilt.matrix - m) <= 1e-13
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eigenschaft import serialize
 from eigenschaft.dynamics import BeatSample
-from eigenschaft.errors import SerializationError
+from eigenschaft.errors import DomainError, SerializationError
 from eigenschaft.interferometer import (
     FringeRecord,
     InterferometerConfig,
@@ -103,12 +103,10 @@ class TestOperatorFormat:
         with pytest.raises(SerializationError, match="trace_class"):
             serialize.op_from_dict(d)
 
-    def test_tolerance_override_passthrough(self):
-        near = np.diag([1.0 + 1e-7, -1.0 - 1e-7])
-        d = serialize.matrix_to_dict(near)
-        with pytest.raises(Exception):
+    def test_near_involution_is_refused(self):
+        d = serialize.matrix_to_dict(np.diag([1.0 + 1e-7, -1.0 - 1e-7]))
+        with pytest.raises(DomainError, match="not an involution"):
             serialize.op_from_dict(d)
-        assert serialize.op_from_dict(d, tol=1e-5).trace_class == 0
 
 
 class TestProjectorSetFormat:
