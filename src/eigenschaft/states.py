@@ -16,7 +16,14 @@ from typing import Literal
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import TOL_HERM, as_square, freeze_fields, hermitian_eig, hermiticity_residual
+from .linalg import (
+    TOL_HERM,
+    _quiet_overflow,
+    as_square,
+    freeze_fields,
+    hermitian_eig,
+    hermiticity_residual,
+)
 
 TOL_NORM = 1e-10
 #: Dispersions at or below this are treated as exactly zero (eigenvector case).
@@ -42,7 +49,8 @@ class StateVector:
 
     def __post_init__(self):
         amp = _as_amplitudes(self.amplitudes)
-        norm = float(np.linalg.norm(amp))
+        with _quiet_overflow():
+            norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > TOL_NORM:
             raise DomainError(
                 f"state vector is not normalized: |psi| = {norm!r}"
@@ -57,9 +65,12 @@ class StateVector:
     def normalized(cls, values) -> "StateVector":
         """Construct from an arbitrary nonzero vector, normalizing it."""
         amp = _as_amplitudes(values)
-        norm = float(np.linalg.norm(amp))
+        with _quiet_overflow():
+            norm = float(np.linalg.norm(amp))
         if norm <= 1e-12:
             raise DomainError("cannot normalize a (near-)zero vector")
+        if not np.isfinite(norm):
+            raise DomainError("cannot normalize: the norm overflows near the float limit")
         return cls(amp / norm)
 
     @classmethod
@@ -82,7 +93,8 @@ class DensityMatrix:
         m = as_square(self.matrix)
         if hermiticity_residual(m) > TOL_HERM:
             raise DomainError("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
+        with _quiet_overflow():
+            tr = complex(np.trace(m))
         if abs(tr - 1.0) > TOL_NORM:
             raise DomainError(f"density matrix must have unit trace, got {tr!r}")
         lo = float(hermitian_eig(m).eigenvalues[0])
@@ -119,10 +131,13 @@ def superpose(c1: complex, s1: StateVector, c2: complex, s2: StateVector) -> Sta
     """
     if s1.dim != s2.dim:
         raise ShapeError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
-    combo = c1 * s1.amplitudes + c2 * s2.amplitudes
-    norm = float(np.linalg.norm(combo))
+    with _quiet_overflow():
+        combo = c1 * s1.amplitudes + c2 * s2.amplitudes
+        norm = float(np.linalg.norm(combo))
     if norm <= 1e-12:
         raise DomainError("degenerate superposition: the components cancel")
+    if not np.isfinite(norm):
+        raise DomainError("superposition overflows near the float limit")
     return StateVector(combo / norm)
 
 
@@ -134,7 +149,8 @@ def decompose_state(a, psi1: StateVector) -> Decomposition:
     ``psi1`` and ``b = sqrt(dispersion)`` is chosen real and nonnegative,
     any phase being absorbed into ``psi2``.  The dispersion equals the
     second moment minus the squared mean; tiny negative rounding (within
-    ``DISPERSION_EPS``) is clamped to zero.
+    ``DISPERSION_EPS``) is clamped to zero.  Raises ``DomainError`` when
+    ``a @ psi1`` overflows near the float limit.
     """
     m = as_square(a)
     if hermiticity_residual(m) > TOL_HERM:
@@ -144,9 +160,16 @@ def decompose_state(a, psi1: StateVector) -> Decomposition:
             f"operator dim {m.shape[0]} does not match state dim {psi1.dim}"
         )
     psi = psi1.amplitudes
-    image = m @ psi
-    mean = float(np.vdot(psi, image).real)
-    second_moment = float(np.vdot(image, image).real)
+    with _quiet_overflow():
+        image = m @ psi
+        mean = float(np.vdot(psi, image).real)
+        second_moment = float(np.vdot(image, image).real)
+    # |mean| and the remainder's length are bounded by sqrt(second_moment),
+    # so a finite second moment keeps every later step finite.
+    if not np.isfinite(second_moment):
+        raise DomainError(
+            "the operator applied to the state overflows near the float limit"
+        )
     dispersion = second_moment - mean * mean
     if dispersion <= DISPERSION_EPS:
         return Decomposition(mean=mean, dispersion=max(dispersion, 0.0), residual_state=None)

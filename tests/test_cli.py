@@ -607,6 +607,8 @@ class TestNearFloatLimit:
     SYMMETRIC = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}'
     SKEW = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}'
     DIAGONAL = '{"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}'
+    E1 = '{"dim": 2, "amplitudes": [[1, 0], [0, 0]]}'
+    HUGE_STATE = '{"dim": 2, "amplitudes": [[1e308, 0], [1e308, 0]]}'
 
     @pytest.mark.parametrize("argv, payload, message", [
         (["classify", "--rho"], SYMMETRIC,
@@ -634,6 +636,28 @@ class TestNearFloatLimit:
         f.write_text(payload)
         proc = subprocess.run(
             [sys.executable, "-m", "eigenschaft", *argv, str(f)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (["decompose", "--op", "{0}", "--state", "{1}"], [SYMMETRIC, E1],
+         "the operator applied to the state overflows near the float limit"),
+        (["simulate", "--phases", "16", "--state", "{0}"], [HUGE_STATE],
+         "state vector is not normalized: |psi| = inf"),
+        (["classify", "--rho", "{0}"], [DIAGONAL],
+         "density matrix must have unit trace, got (inf+0j)"),
+    ], ids=["decompose", "simulate", "classify-trace"])
+    def test_state_paths(self, tmp_path, argv, files, message):
+        paths = []
+        for k, payload in enumerate(files):
+            paths.append(tmp_path / f"in{k}.json")
+            paths[-1].write_text(payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft",
+             *[a.format(*paths) for a in argv]],
             capture_output=True, text=True,
         )
         assert proc.returncode == 1

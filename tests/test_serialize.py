@@ -232,21 +232,14 @@ class TestDumpsByteIdentity:
             _plant_negative_zeros(payload)
             assert serialize.dumps(payload) == _oracle(payload), kind
 
-    @pytest.mark.parametrize("rows_per_call", [1, 2, 3, 48])
-    def test_rows_split_across_encoder_calls(self, monkeypatch, rows_per_call):
-        monkeypatch.setattr(serialize, "_ROWS_PER_CALL", rows_per_call)
-        for kind, payload in _cli_payloads(7).items():
-            _plant_negative_zeros(payload)
-            assert serialize.dumps(payload) == _oracle(payload), kind
-
-    @pytest.mark.parametrize("extra", [-1, 0, 1, 1025])
-    def test_rows_at_the_default_call_boundary(self, extra):
-        count = serialize._ROWS_PER_CALL + extra
+    @pytest.mark.parametrize("count", [1, 2, 3, 1023, 1024, 1025, 2049])
+    def test_row_counts(self, count):
         values = np.random.default_rng(count).standard_normal(count) * 1j
+        values[0] = complex(0.5, -0.0)
         values[-1] = complex(-0.0, 1e300)
         payload = {"dim": count, "amplitudes": serialize._complex_to_pairs(values)}
         assert serialize.dumps(payload) == _oracle(payload)
-        payload["amplitudes"][-1] = []  # an empty row in the last block
+        payload["amplitudes"][-1] = []  # an empty last row
         assert serialize.dumps(payload) == _oracle(payload)
 
     def test_residual_state_present_and_absent(self):
@@ -276,6 +269,12 @@ class TestDumpsByteIdentity:
         {"a,[b]": "c]d,[e", "é": "☃\n"},
         {1: "int key", 2.5: "float key", True: "t", None: "n"},
         {"nested": {"deep": [{"entries": [[0.5, -0.0]]}, [], {}]}},
+        [[0.5, -0.0], [float("nan"), 1.0], [2.0, float("-inf")], [1e300, 0.0]],
+        [[0.5, -0.0], [1e300], [2.0, -1.0, 3.0]],
+        [[1, 2], [-3, 0], [10 ** 20, 5]],
+        [[np.float64(0.5), np.float64(-0.0)], [np.float64(1e-300), 2.0]],
+        [[0.5], [-0.0], [1e300]],
+        [[0.5, -1.0, 2.5], [1e-300, -0.0, 3.0]],
         "plain", 3, -0.0, None, False,
     ])
     def test_edge_payloads(self, payload):

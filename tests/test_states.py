@@ -228,3 +228,33 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+
+class TestNearFloatLimit:
+    """Finite entries near the float limit overflow in norms, traces and
+    ``a @ psi``; each is refused with its own message and no numpy warning
+    (warnings are errors under this suite's settings)."""
+
+    HUGE = 1e308
+
+    def test_state_norm(self):
+        with pytest.raises(DomainError, match=r"\|psi\| = inf"):
+            StateVector(np.array([self.HUGE, self.HUGE]))
+
+    def test_normalized(self):
+        with pytest.raises(DomainError, match="norm overflows near the float limit"):
+            StateVector.normalized([self.HUGE, self.HUGE])
+
+    def test_superpose(self):
+        with pytest.raises(DomainError, match="overflows near the float limit"):
+            superpose(self.HUGE, e(2, 0), self.HUGE, e(2, 0))
+
+    def test_density_trace(self):
+        with pytest.raises(DomainError, match=r"unit trace, got \(inf\+0j\)"):
+            DensityMatrix(np.diag([self.HUGE, self.HUGE]))
+
+    def test_decompose(self):
+        m = np.array([[0.5, self.HUGE], [self.HUGE, 0.5]])
+        with pytest.raises(DomainError, match="operator applied to the state "
+                                              "overflows near the float limit"):
+            decompose_state(m, e(2, 0))
