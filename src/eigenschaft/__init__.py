@@ -33,6 +33,7 @@ from .interferometer import (
     uniform_sweep,
 )
 from .linalg import (
+    MAX_MAGNITUDE,
     Spectrum,
     TOL_HERM,
     TOL_INV,
@@ -80,4 +81,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

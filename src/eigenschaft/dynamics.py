@@ -13,7 +13,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
+from .linalg import check_magnitude
 from .operators import EigenschaftOp, h2_elements, wrap_phase
 
 
@@ -26,8 +27,7 @@ class TwoLevelSystem:
     h2: EigenschaftOp
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega1) and np.isfinite(self.omega2)):
-            raise DomainError("frequencies must be finite")
+        check_magnitude([self.omega1, self.omega2], "frequencies")
         if self.h2.dim != 2:
             raise ShapeError("two-level evolution needs a dimension-2 operator")
 
@@ -47,8 +47,7 @@ def evolve_h2(sys: TwoLevelSystem, t: float) -> EigenschaftOp:
     The diagonal (and with it the spectrum) is unchanged; the off-diagonal
     magnitude is preserved, so the result is again a valid involution.
     """
-    if not np.isfinite(t):
-        raise DomainError("time must be finite")
+    check_magnitude(t, "time")
     m = np.array(sys.h2.matrix, dtype=complex)
     m[0, 1] = m[0, 1] * np.exp(1j * sys.detuning * t)
     m[1, 0] = np.conj(m[0, 1])
@@ -62,8 +61,7 @@ def beat_trace(sys: TwoLevelSystem, t_samples: Iterable[float]) -> list[BeatSamp
     initial off-diagonal phase.
     """
     times = np.asarray(list(t_samples), dtype=float)
-    if times.size and not np.all(np.isfinite(times)):
-        raise DomainError("time samples must be finite")
+    check_magnitude(times, "time samples")
     phases = wrap_phase(h2_elements(sys.h2).delta_phi + sys.detuning * times)
     return [BeatSample(t=t, delta_phi=p)
             for t, p in zip(times.tolist(), phases.tolist())]

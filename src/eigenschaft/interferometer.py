@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
-from .linalg import TOL_INV, freeze_fields
+from .linalg import MAX_MAGNITUDE, TOL_INV, check_magnitude, freeze_fields
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
@@ -48,11 +48,11 @@ class InterferometerConfig:
         phases = np.asarray(self.sweep_phases, dtype=float).reshape(-1)
         if phases.size == 0:
             raise DomainError("phase sweep must be non-empty")
-        if not np.all(np.isfinite(phases)):
-            raise DomainError("sweep phases must be finite")
+        check_magnitude(phases, "sweep phases")
         sigma = float(self.shot_noise_sigma)
-        if not np.isfinite(sigma) or sigma < 0.0:
-            raise DomainError("shot noise sigma must be finite and nonnegative")
+        check_magnitude(sigma, "shot noise sigma")
+        if sigma < 0.0:
+            raise DomainError("shot noise sigma must be nonnegative")
         freeze_fields(self, sweep_phases=phases, shot_noise_sigma=sigma)
 
 
@@ -78,8 +78,7 @@ class FringeRecord:
         if not (phases.size == i1.size == i2.size) or phases.size == 0:
             raise ShapeError("phases and intensities must have equal nonzero length")
         for name, arr in (("phases", phases), ("I1", i1), ("I2", i2)):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be finite")
+            check_magnitude(arr, name)
         if np.any(i1 < 0.0) or np.any(i2 < 0.0):
             raise DomainError("intensities must be nonnegative")
         freeze_fields(self, phases=phases, intensity_port1=i1,
@@ -136,8 +135,9 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
 
     For each sweep phase the second component is advanced by ``exp(i phi)``
     and the splitter applied; intensities are squared moduli plus optional
-    additive Gaussian noise (clamped at zero).  Fully deterministic for a
-    given seed; with noise on, a negative seed raises ``DomainError``.
+    additive Gaussian noise (clamped to ``[0, MAX_MAGNITUDE]``).  Fully
+    deterministic for a given seed; with noise on, a negative seed raises
+    ``DomainError``.
     """
     if state.dim != 2:
         raise ShapeError("interferometer input must be a two-component state")
@@ -157,8 +157,8 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
         rng = np.random.default_rng(rng_seed)
         i1 = i1 + rng.normal(0.0, cfg.shot_noise_sigma, phases.size)
         i2 = i2 + rng.normal(0.0, cfg.shot_noise_sigma, phases.size)
-        i1 = np.maximum(i1, 0.0)
-        i2 = np.maximum(i2, 0.0)
+        i1 = np.clip(i1, 0.0, MAX_MAGNITUDE)
+        i2 = np.clip(i2, 0.0, MAX_MAGNITUDE)
     return FringeRecord(phases=phases, intensity_port1=i1, intensity_port2=i2)
 
 

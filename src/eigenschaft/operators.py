@@ -33,8 +33,8 @@ from .errors import ConstructionError, DomainError, ShapeError
 from .linalg import (
     TOL_HERM,
     TOL_INV,
-    _quiet_overflow,
     as_square,
+    check_magnitude,
     freeze_fields,
     hermitian_eig,
     hermiticity_residual,
@@ -59,14 +59,10 @@ def wrap_phase(x):
 
 def _trace_class(m: np.ndarray) -> tuple[complex, int, float]:
     """The trace, the nearest integer of the dimension's parity clamped to
-    ``[-dim, dim]``, and their distance; ``inf`` for a trace that overflows.
-    """
+    ``[-dim, dim]``, and their distance."""
     dim = m.shape[0]
     parity = dim % 2
-    with _quiet_overflow():
-        trace = complex(np.trace(m))
-    if not np.isfinite(trace):
-        return trace, parity, np.inf
+    trace = complex(np.trace(m))
     k = int(round((trace.real - parity) / 2.0)) * 2 + parity
     k = max(-dim, min(dim, k))
     return trace, k, abs(trace - k)
@@ -241,8 +237,7 @@ class H2Params:
     delta_phi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma_angle) and np.isfinite(self.delta_phi)):
-            raise DomainError("angles must be finite")
+        check_magnitude([self.gamma_angle, self.delta_phi], "angles")
 
 
 class H2Elements(NamedTuple):
@@ -318,7 +313,7 @@ class DiagSpec:
                 f"need {self.dim} diagonal entries, got {len(alphas)}"
             )
         for i, a in enumerate(alphas):
-            if not np.isfinite(a) or abs(a) > 1.0:
+            if not abs(a) <= 1.0:
                 raise ConstructionError(f"|alpha_{i + 1}| <= 1 violated (got {a!r})")
         target = float(self.trace_sign) * (1.0 if self.dim == 3 else 2.0)
         total = sum(alphas)
@@ -334,8 +329,7 @@ class DiagSpec:
                 f"dimension {self.dim} takes {n_free} free phases, "
                 f"got {len(phases)}"
             )
-        if not all(np.isfinite(p) for p in phases):
-            raise ConstructionError("phases must be finite")
+        check_magnitude(phases, "phases", ConstructionError)
         freeze_fields(self, alphas=alphas, phases=phases,
                       trace_sign=int(self.trace_sign), dim=int(self.dim))
 
@@ -352,14 +346,8 @@ def build_from_diag(spec: DiagSpec) -> EigenschaftOp:
     """
     s = float(spec.trace_sign)
     alphas = np.asarray(spec.alphas, dtype=float)
-    radicands = (1.0 - s * alphas) / 2.0
-    bad = np.nonzero(radicands < -1e-15)[0]
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ConstructionError(
-            f"radicand (1 - trace_sign*alpha_{i}) is negative"
-        )
-    r = np.sqrt(np.maximum(radicands, 0.0))
+    # |alpha_i| <= 1 makes every radicand exactly nonnegative in floats.
+    r = np.sqrt((1.0 - s * alphas) / 2.0)
     thetas = np.zeros(spec.dim)
     thetas[1:] = [-p for p in spec.phases]
     c = r * np.exp(1j * thetas)
@@ -554,13 +542,12 @@ def _closure_residual(m: np.ndarray, s: float, dep: tuple[int, int],
     return abs(wrap_phase(phi[0] - (phi[1] - phi[2])))
 
 
-@_quiet_overflow()
 def validate(matrix) -> ValidationReport:
     """Residual report for an arbitrary square matrix.
 
     Accepts a plain array or an :class:`EigenschaftOp`.  Never raises on
-    bad numbers; every deviation shows up as a residual, which is ``inf``
-    or ``nan`` where entries near the float limit overflow.
+    a matrix within ``MAX_MAGNITUDE``; every deviation shows up as a
+    finite residual.
     """
     if isinstance(matrix, EigenschaftOp):
         m = matrix.matrix

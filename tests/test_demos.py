@@ -1,4 +1,5 @@
-"""Every demo script, and the README's quick start, runs to completion."""
+"""Every demo script, and the README's quick start, runs to completion with
+warnings turned into errors."""
 
 import os
 import re
@@ -16,7 +17,7 @@ def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

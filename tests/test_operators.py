@@ -111,8 +111,13 @@ class TestEigenschaftOp:
         assert str(exc.value) == "not an involution: residual 2.000e-09 exceeds 1e-10"
 
     def test_overflowing_trace_is_refused(self):
-        with pytest.raises(DomainError, match="trace .* is inf away"):
+        """Entries whose trace would overflow are refused at the door; at
+        the bound the trace is finite and its distance is reported."""
+        with pytest.raises(DomainError, match="matrix entries must be finite "
+                                              "and at most 1e\\+100"):
             EigenschaftOp(np.diag([1e308, 1e308]))
+        with pytest.raises(DomainError, match="trace .* is 2.000e\\+100 away"):
+            EigenschaftOp(np.diag([1e100, 1e100]))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_constructor_derives_spectral_data(self, n):
@@ -451,7 +456,7 @@ class TestToProjectorsDomain:
     @pytest.mark.parametrize("n", [2, 8, 32])
     @pytest.mark.parametrize("eps", [1e-7, 1e-6])
     @pytest.mark.parametrize("shape", ["scaled", "split"])
-    def test_relaxed_tolerance_keeps_spectral_gate(self, n, eps, shape):
+    def test_plain_constructor_keeps_spectral_gate(self, n, eps, shape):
         """The plain constructor admits both near-involutions; neither
         passes the fixed 1e-8 projector gate.
 
@@ -484,13 +489,15 @@ class TestToProjectorsDomain:
         with pytest.raises(DomainError, match="not an involution"):
             to_projectors(short_minus)
 
-    def test_relaxed_tolerance_keeps_hermiticity_gate(self):
+    def test_plain_constructor_keeps_hermiticity_gate(self):
+        """The plain constructor admits a Hermiticity residual of 1e-9;
+        ``to_projectors`` refuses it at ``TOL_HERM``."""
         m = random_involution(8, np.random.default_rng(90), trace_class=2)
         m[0, 1] += 1e-9
         with pytest.raises(DomainError, match="not Hermitian within 1e-10"):
             to_projectors(EigenschaftOp(m))
 
-    def test_relaxed_tolerance_admits_exact_spectrum(self):
+    def test_plain_constructor_admits_exact_spectrum(self):
         """Coupling the two eigenspaces of ``diag(1, -1)`` by 1e-7 moves
         the eigenvalues by only 5e-15: admitted, and the projectors are
         those of the perturbed matrix (roundtrip at the size of that move),

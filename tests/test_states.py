@@ -231,30 +231,30 @@ class TestDensityMatrix:
 
 
 class TestNearFloatLimit:
-    """Finite entries near the float limit overflow in norms, traces and
-    ``a @ psi``; each is refused with its own message and no numpy warning
-    (warnings are errors under this suite's settings)."""
+    """Entries above ``MAX_MAGNITUDE``, up to the float limit, are refused
+    at the door, with a message that names the caller's argument and no
+    numpy warning (warnings are errors under this suite's settings)."""
 
     HUGE = 1e308
+    BOUND = "must be finite and at most 1e\\+100 in magnitude"
 
     def test_state_norm(self):
-        with pytest.raises(DomainError, match=r"\|psi\| = inf"):
+        with pytest.raises(DomainError, match="amplitudes " + self.BOUND):
             StateVector(np.array([self.HUGE, self.HUGE]))
 
     def test_normalized(self):
-        with pytest.raises(DomainError, match="norm overflows near the float limit"):
+        with pytest.raises(DomainError, match="amplitudes " + self.BOUND):
             StateVector.normalized([self.HUGE, self.HUGE])
 
     def test_superpose(self):
-        with pytest.raises(DomainError, match="overflows near the float limit"):
+        with pytest.raises(DomainError, match="coefficients " + self.BOUND):
             superpose(self.HUGE, e(2, 0), self.HUGE, e(2, 0))
 
     def test_density_trace(self):
-        with pytest.raises(DomainError, match=r"unit trace, got \(inf\+0j\)"):
+        with pytest.raises(DomainError, match="matrix entries " + self.BOUND):
             DensityMatrix(np.diag([self.HUGE, self.HUGE]))
 
     def test_decompose(self):
         m = np.array([[0.5, self.HUGE], [self.HUGE, 0.5]])
-        with pytest.raises(DomainError, match="operator applied to the state "
-                                              "overflows near the float limit"):
+        with pytest.raises(DomainError, match="matrix entries " + self.BOUND):
             decompose_state(m, e(2, 0))
