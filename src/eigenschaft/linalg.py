@@ -122,10 +122,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 def hermitian_eig(a) -> Spectrum:
     """Eigendecompose a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).

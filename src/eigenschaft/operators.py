@@ -73,11 +73,10 @@ class EigenschaftOp:
     """A Hermitian involution; its trace class and multiplicities
     ``(n_plus, n_minus)`` are read off the trace.
 
-    Use :meth:`from_matrix` to build one from a foreign matrix; it gates on
-    the Hermiticity and involution residuals, as every in-package builder
-    does.  The plain constructor only refuses a trace not within 1e-8 of a
-    trace class and trusts the rest: ``from_matrix`` calls it once its
-    gates pass, and so may a caller that already trusts its matrix.
+    The constructor is the package's one operator gate.  It raises
+    ``DomainError`` when the Hermiticity residual exceeds ``TOL_HERM``, the
+    involution residual exceeds ``TOL_INV``, or the trace is farther than
+    1e-8 from an integer of the dimension's parity, in that order.
     """
 
     matrix: np.ndarray
@@ -85,6 +84,16 @@ class EigenschaftOp:
 
     def __post_init__(self):
         m = as_square(self.matrix)
+        herm = hermiticity_residual(m)
+        if herm > TOL_HERM:
+            raise DomainError(
+                f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
+            )
+        inv = involution_residual(m)
+        if inv > TOL_INV:
+            raise DomainError(
+                f"not an involution: residual {inv:.3e} exceeds {TOL_INV:g}"
+            )
         trace, tc, dist = _trace_class(m)
         if dist > 1e-8:
             raise DomainError(
@@ -104,24 +113,8 @@ class EigenschaftOp:
 
     @classmethod
     def from_matrix(cls, m) -> "EigenschaftOp":
-        """Validate a matrix as a Hermitian involution and wrap it.
-
-        Raises ``DomainError`` when the Hermiticity residual exceeds
-        ``TOL_HERM`` or the involution residual exceeds ``TOL_INV``, or
-        when the trace is not close to an integer of the correct parity.
-        """
-        mat = as_square(m)
-        herm = hermiticity_residual(mat)
-        if herm > TOL_HERM:
-            raise DomainError(
-                f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
-            )
-        inv = involution_residual(mat)
-        if inv > TOL_INV:
-            raise DomainError(
-                f"not an involution: residual {inv:.3e} exceeds {TOL_INV:g}"
-            )
-        return cls(mat)
+        """The constructor, ``EigenschaftOp(m)``, as a named call."""
+        return cls(m)
 
 
 def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
@@ -379,8 +372,8 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     ``H`` is diagonalised by :func:`hermitian_eig`, and each eigenvector
     gives one projector.  The gate is that of the eigensolve: the input
     Hermitian within ``TOL_HERM`` and every eigenvalue within 1e-8 of +-1,
-    also for an operator the plain constructor admitted without the
-    residual gates.  Signs come out ascending,
+    a safety check behind the constructor's residual gates.  Signs come
+    out ascending,
     ``(-1,) * n_minus + (1,) * n_plus``.
 
     Inside each eigenspace the basis is LAPACK's: deterministic but not

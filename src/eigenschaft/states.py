@@ -26,7 +26,8 @@ from .linalg import (
 )
 
 TOL_NORM = 1e-10
-#: Dispersions at or below this are treated as exactly zero (eigenvector case).
+#: A dispersion at or below this times ``max(1, |a @ psi|^2)`` marks an
+#: eigenvector: ``decompose_state`` gives it no residual state.
 DISPERSION_EPS = 1e-12
 #: Eigenvalue floor for positive semidefiniteness of density matrices.
 PSD_FLOOR = -1e-10
@@ -99,10 +100,6 @@ class DensityMatrix:
             )
         freeze_fields(self, matrix=m)
 
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -139,9 +136,11 @@ def decompose_state(a, psi1: StateVector) -> Decomposition:
 
     ``mean`` is the expectation value of the Hermitian operator ``a`` in
     ``psi1`` and ``b = sqrt(dispersion)`` is chosen real and nonnegative,
-    any phase being absorbed into ``psi2``.  The dispersion equals the
-    second moment minus the squared mean; tiny negative rounding (within
-    ``DISPERSION_EPS``) is clamped to zero.
+    any phase being absorbed into ``psi2``.  The dispersion is the squared
+    length of the remainder ``a @ psi1 - mean * psi1`` with ``psi1``
+    projected out, so it never cancels and is never negative; at or below
+    ``DISPERSION_EPS * max(1, |a @ psi1|^2)`` the state is an eigenvector
+    and ``psi2`` is absent.
     """
     m = as_square(a)
     if hermiticity_residual(m) > TOL_HERM:
@@ -153,23 +152,11 @@ def decompose_state(a, psi1: StateVector) -> Decomposition:
     psi = psi1.amplitudes
     image = m @ psi
     mean = float(np.vdot(psi, image).real)
-    second_moment = float(np.vdot(image, image).real)
-    dispersion = second_moment - mean * mean
-    if dispersion <= DISPERSION_EPS:
-        return Decomposition(mean=mean, dispersion=max(dispersion, 0.0), residual_state=None)
-    # The remainder may exceed MAX_MAGNITUDE where ``a`` does not, so it is
-    # scaled here; ``StateVector.normalized`` would refuse it as input.
     remainder = image - mean * psi
-    norm = float(np.linalg.norm(remainder))
-    if norm <= 1e-12:
-        raise DomainError("cannot normalize a (near-)zero vector")
-    psi2 = StateVector(remainder / norm)
-    overlap = abs(np.vdot(psi, psi2.amplitudes))
-    if overlap > 1e-10:
-        raise DomainError(
-            f"residual state is not orthogonal (overlap {overlap:.3e}); "
-            "operator is likely non-Hermitian beyond tolerance"
-        )
+    remainder -= np.vdot(psi, remainder) * psi
+    dispersion = float(np.vdot(remainder, remainder).real)
+    cut = DISPERSION_EPS * max(1.0, float(np.vdot(image, image).real))
+    psi2 = StateVector(remainder / np.sqrt(dispersion)) if dispersion > cut else None
     return Decomposition(mean=mean, dispersion=dispersion, residual_state=psi2)
 
 

@@ -354,6 +354,20 @@ class TestDecomposeClassify:
         assert code == 0
         assert json.loads(out)["residual_state"] is None
 
+    def test_decompose_eigenvector_at_scale_100(self, capsys, tmp_path):
+        op = tmp_path / "op.json"
+        op.write_text('{"dim": 1, "entries": [[100.0, 0.0]]}')
+        state = tmp_path / "state.json"
+        state.write_text('{"dim": 1, "amplitudes": '
+                         '[[0.999949665414829, 0.01003327647239439]]}')
+        code, out, err = run_cli(
+            capsys, "decompose", "--op", str(op), "--state", str(state)
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["mean"] == pytest.approx(100.0, rel=1e-14)
+        assert payload["residual_state"] is None
+
     def test_classify_mixture(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--rho", RHO_TILDE)
         assert code == 0

@@ -119,6 +119,16 @@ class TestRunInterferometer:
                 sweep_phases=uniform_sweep(4),
             )
 
+    def test_splitter_beyond_the_bound_is_refused_at_the_door(self):
+        """A splitter whose squared outputs would pass ``MAX_MAGNITUDE``
+        is no involution, and the constructor refuses it before
+        ``run_interferometer`` can form the intensities."""
+        with pytest.raises(DomainError) as exc:
+            EigenschaftOp(np.diag([1e60, -1e60]))
+        assert str(exc.value) == (
+            "not an involution: residual 1.000e+120 exceeds 1e-10"
+        )
+
 
 class TestRecoverState:
     def test_equal_arms_noiseless(self):
@@ -206,6 +216,11 @@ class TestRecoverState:
         )
         with pytest.raises(FitError, match="visibility"):
             recover_state(fr)
+
+    def test_dark_fringe_rejected(self):
+        zeros = np.zeros(16)
+        with pytest.raises(FitError, match="fitted offset is nonpositive"):
+            recover_state(FringeRecord(uniform_sweep(16), zeros, zeros))
 
     def test_inversion_identity(self):
         rng = np.random.default_rng(63)

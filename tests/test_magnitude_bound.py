@@ -55,15 +55,19 @@ def numbers(obj):
             yield from numbers(getattr(obj, f.name))
 
 
+def finite_result(fn, *args):
+    """Call ``fn``; it must return only finite numbers."""
+    values = np.array(list(numbers(fn(*args))), dtype=complex)
+    assert values.size and np.all(np.isfinite(values))
+
+
 def finite_or_refused(fn, *args):
     """Call ``fn``; it must return only finite numbers or raise an
     ``EigenschaftError``."""
     try:
-        result = fn(*args)
+        finite_result(fn, *args)
     except EigenschaftError:
         return
-    values = np.array(list(numbers(result)), dtype=complex)
-    assert values.size and np.all(np.isfinite(values))
 
 
 def boundary_matrices(n):
@@ -94,9 +98,9 @@ class TestAtTheBound:
             assert np.all(np.isfinite(np.array(list(numbers(report)), dtype=complex)))
             finite_or_refused(hermitian_eig, m)
             for k in range(min(n, 3)):
-                finite_or_refused(decompose_state, m, StateVector.basis_state(n, k))
+                finite_result(decompose_state, m, StateVector.basis_state(n, k))
             psi = StateVector(random_state(n, np.random.default_rng(n)))
-            finite_or_refused(decompose_state, m, psi)
+            finite_result(decompose_state, m, psi)
 
     @pytest.mark.parametrize("n", [2, 64])
     def test_validate_writes_finite_json(self, capsys, tmp_path, n):
@@ -129,16 +133,21 @@ class TestAtTheBound:
                 finite_or_refused(recover_state, fr)
 
     def test_holographic_report(self):
-        splitters = [hadamard(), EigenschaftOp(np.diag([MAX_MAGNITUDE, -MAX_MAGNITUDE]))]
+        """A splitter is an involution, so its entries are at most 1; one
+        with entries at the bound is refused where it is built."""
+        with pytest.raises(DomainError) as exc:
+            EigenschaftOp(np.diag([MAX_MAGNITUDE, -MAX_MAGNITUDE]))
+        assert str(exc.value) == (
+            "not an involution: residual 1.000e+200 exceeds 1e-10"
+        )
         sweeps = [uniform_sweep(16), np.linspace(-MAX_MAGNITUDE, MAX_MAGNITUDE, 16)]
         states = [StateVector.normalized([1.0, 1.0]), StateVector.normalized([0.6, 0.8j])]
-        for splitter in splitters:
-            for phases in sweeps:
-                for sigma in (0.0, 1.0, MAX_MAGNITUDE):
-                    cfg = InterferometerConfig(splitter, phases, sigma)
-                    for state in states:
-                        for seed in (0, 1):
-                            finite_or_refused(holographic_report, state, cfg, seed)
+        for phases in sweeps:
+            for sigma in (0.0, 1.0, MAX_MAGNITUDE):
+                cfg = InterferometerConfig(hadamard(), phases, sigma)
+                for state in states:
+                    for seed in (0, 1):
+                        finite_or_refused(holographic_report, state, cfg, seed)
 
     def test_dynamics(self):
         times = [0.0, 1.0, MAX_MAGNITUDE, -MAX_MAGNITUDE]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,18 @@ def library_verdict(projectors):
     return None
 
 
+def door_message(m):
+    """The message with which ``EigenschaftOp(m)`` refuses ``m``, after
+    checking that ``EigenschaftOp.from_matrix(m)`` refuses it with the
+    same one."""
+    with pytest.raises(DomainError) as plain:
+        EigenschaftOp(m)
+    with pytest.raises(DomainError) as named:
+        EigenschaftOp.from_matrix(m)
+    assert str(plain.value) == str(named.value)
+    return str(plain.value)
+
+
 def frame_projectors(frame):
     return [np.outer(frame[:, k], frame[:, k].conj()) for k in range(frame.shape[1])]
 
@@ -94,12 +108,12 @@ class TestEigenschaftOp:
             EigenschaftOp.from_matrix(np.diag([1.0, 0.5]))
 
     def test_near_involution_is_refused(self):
-        """``from_matrix`` refuses a residual of 2e-7; the plain constructor
-        trusts the same matrix."""
+        """The constructor refuses a residual of 2e-7, as ``from_matrix``
+        does."""
         near = np.diag([1.0 + 1e-7, -1.0 - 1e-7])
-        with pytest.raises(DomainError, match="not an involution"):
-            EigenschaftOp.from_matrix(near)
-        assert EigenschaftOp(near).trace_class == 0
+        assert door_message(near) == (
+            "not an involution: residual 2.000e-07 exceeds 1e-10"
+        )
 
     def test_one_tolerance_gates_both_residuals(self):
         skew = np.array([[1.0, 1e-7], [0.0, -1.0]])
@@ -111,13 +125,15 @@ class TestEigenschaftOp:
         assert str(exc.value) == "not an involution: residual 2.000e-09 exceeds 1e-10"
 
     def test_overflowing_trace_is_refused(self):
-        """Entries whose trace would overflow are refused at the door; at
-        the bound the trace is finite and its distance is reported."""
-        with pytest.raises(DomainError, match="matrix entries must be finite "
-                                              "and at most 1e\\+100"):
-            EigenschaftOp(np.diag([1e308, 1e308]))
-        with pytest.raises(DomainError, match="trace .* is 2.000e\\+100 away"):
-            EigenschaftOp(np.diag([1e100, 1e100]))
+        """Entries whose trace would overflow are refused by their
+        magnitude; at the bound the involution residual is finite and
+        refused."""
+        assert door_message(np.diag([1e308, 1e308])) == (
+            "matrix entries must be finite and at most 1e+100 in magnitude"
+        )
+        assert door_message(np.diag([1e100, 1e100])) == (
+            "not an involution: residual 1.000e+200 exceeds 1e-10"
+        )
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_constructor_derives_spectral_data(self, n):
@@ -130,15 +146,38 @@ class TestEigenschaftOp:
             n_plus = (n + tc) // 2
             assert direct.multiplicities == gated.multiplicities == (n_plus, n - n_plus)
 
-    @pytest.mark.parametrize("diag, message", [
-        ([1.0, -1.0 + 1e-6], "1.000e-06 away from the nearest admissible trace class 0"),
-        ([1.0, 0.5], "5.000e-01 away from the nearest admissible trace class 2"),
-        ([1.0, 1.0, 1.0 + 1e-7], "1.000e-07 away from the nearest admissible trace class 3"),
-        ([1.0, -1.0 + 1e-6j], "1.000e-06 away from the nearest admissible trace class 0"),
+    @pytest.mark.parametrize("diag, distance, message", [
+        ([1.0, -1.0 + 1e-6], "1.000e-06 away from the nearest admissible trace class 0",
+         "not an involution: residual 2.000e-06 exceeds 1e-10"),
+        ([1.0, 0.5], "5.000e-01 away from the nearest admissible trace class 2",
+         "not an involution: residual 7.500e-01 exceeds 1e-10"),
+        ([1.0, 1.0, 1.0 + 1e-7], "1.000e-07 away from the nearest admissible trace class 3",
+         "not an involution: residual 2.000e-07 exceeds 1e-10"),
+        ([1.0, -1.0 + 1e-6j], "1.000e-06 away from the nearest admissible trace class 0",
+         "not Hermitian: residual 2.000e-06 exceeds 1e-10"),
     ])
-    def test_constructor_refuses_non_integral_trace(self, diag, message):
-        with pytest.raises(DomainError, match=message):
-            EigenschaftOp(np.diag(diag))
+    def test_constructor_refuses_non_integral_trace(self, diag, distance, message):
+        """A diagonal off its trace class is off a Hermitian involution by
+        as much, so the residual gates refuse it before the trace gate;
+        ``validate`` still reports the distance."""
+        m = np.diag(diag)
+        report = validate(m)
+        assert (f"{report.trace_class_distance:.3e} away from the nearest "
+                f"admissible trace class {report.trace_class}") == distance
+        assert door_message(m) == message
+
+    def test_trace_gate_stays_behind_the_residual_gates(self):
+        """``I + 1.2e-8 x x^T`` with ``x`` uniform at n = 256 passes the
+        Hermiticity gate and the involution gate (residual 9.4e-11) and is
+        refused by the trace gate."""
+        n = 256
+        x = np.full(n, 1.0 / np.sqrt(n))
+        m = np.eye(n) + 1.2e-8 * np.outer(x, x)
+        assert hermiticity_residual(m) == 0.0
+        assert involution_residual(m) <= TOL_INV
+        assert re.fullmatch(
+            r"trace \(256\.00000001\d*\+0j\) is 1\.200e-08 away from the "
+            r"nearest admissible trace class 256", door_message(m))
 
     def test_matrix_read_only(self):
         op = hadamard()
@@ -213,6 +252,17 @@ class TestDiagSpec:
     def test_dim_guard(self):
         with pytest.raises(ConstructionError):
             DiagSpec(dim=5, alphas=(0.2,) * 5, trace_sign=1, phases=(0.0,) * 4)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"trace_sign": 0}, "trace_sign must be +1 or -1"),
+        ({"alphas": (0.5, 0.5)}, "need 3 diagonal entries, got 2"),
+    ])
+    def test_rejects_malformed_spec(self, change, message):
+        spec = {"dim": 3, "alphas": (1 / 3,) * 3, "trace_sign": 1,
+                "phases": (0.0, 0.0)}
+        with pytest.raises(ConstructionError) as exc:
+            DiagSpec(**{**spec, **change})
+        assert str(exc.value) == message
 
 
 class TestBuildFromDiag:
@@ -304,6 +354,16 @@ class TestProjectorSet:
     def test_rejects_wrong_count(self):
         with pytest.raises(DomainError, match="exactly"):
             ProjectorSet((np.diag([1.0, 0.0]),))
+
+    @pytest.mark.parametrize("projectors, message", [
+        ((), "projector set must be non-empty"),
+        ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])),
+         "projectors must share one dimension"),
+    ])
+    def test_rejects_malformed_family(self, projectors, message):
+        with pytest.raises(ShapeError) as exc:
+            ProjectorSet(projectors)
+        assert str(exc.value) == message
 
 
 class TestProjectorSetMatchesPairwise:
@@ -457,45 +517,56 @@ class TestToProjectorsDomain:
     @pytest.mark.parametrize("eps", [1e-7, 1e-6])
     @pytest.mark.parametrize("shape", ["scaled", "split"])
     def test_plain_constructor_keeps_spectral_gate(self, n, eps, shape):
-        """The plain constructor admits both near-involutions; neither
-        passes the fixed 1e-8 projector gate.
+        """The constructor refuses both near-involutions at the involution
+        gate, before ``to_projectors`` could see them.
 
         ``scaled`` is ``(1 + eps) H``, eigenvalues ``+-(1 + eps)``.
         ``split`` couples two states of one eigenspace of a diagonal
-        involution by ``eps``: the eigenvalue splits to ``1 +- eps``, while
-        the diagonal stays at exactly 1, so only the eigenvalues show it."""
+        involution by ``eps``: the eigenvalue splits to ``1 +- eps`` and
+        ``H^2`` gains an off-diagonal ``2 eps``, while the diagonal of ``H``
+        stays at exactly 1."""
         if shape == "scaled":
             m = (1.0 + eps) * random_involution(n, np.random.default_rng(80 + n),
                                                 trace_class=0)
         else:
             m = np.diag([1.0, 1.0] + [-1.0, 1.0] * ((n - 2) // 2)).astype(complex)
             m[0, 1] = m[1, 0] = eps
-        with pytest.raises(DomainError, match="not within 1e-8 of"):
-            to_projectors(EigenschaftOp(m))
+        assert door_message(m) == (
+            f"not an involution: residual {2.0 * eps:.3e} exceeds 1e-10"
+        )
 
     def test_range_short_of_its_rank_is_refused(self):
         """``diag(-1, -1, 3)`` has trace 1, so the trace promises two +1
-        directions, but ``(I + H)/2`` has rank one.  The plain constructor
-        admits it; ``to_projectors`` refuses it."""
-        plain = EigenschaftOp(np.diag([-1.0, -1.0, 3.0]))
-        assert plain.multiplicities == (2, 1)
-        with pytest.raises(DomainError) as exc:
-            to_projectors(plain)
-        assert str(exc.value) == (
-            "eigenvalue 3.0 is not within 1e-8 of +-1; input is not an involution"
-        )
-        short_minus = EigenschaftOp(np.diag([1.0, 1.0, -3.0]))
-        assert short_minus.multiplicities == (1, 2)
-        with pytest.raises(DomainError, match="not an involution"):
-            to_projectors(short_minus)
+        directions, but ``(I + H)/2`` has rank one.  The constructor
+        refuses it and its mirror image at the involution gate."""
+        for diag in ([-1.0, -1.0, 3.0], [1.0, 1.0, -3.0]):
+            assert door_message(np.diag(diag)) == (
+                "not an involution: residual 8.000e+00 exceeds 1e-10"
+            )
 
     def test_plain_constructor_keeps_hermiticity_gate(self):
-        """The plain constructor admits a Hermiticity residual of 1e-9;
-        ``to_projectors`` refuses it at ``TOL_HERM``."""
+        """The constructor refuses a Hermiticity residual of 1e-9 at
+        ``TOL_HERM``."""
         m = random_involution(8, np.random.default_rng(90), trace_class=2)
         m[0, 1] += 1e-9
-        with pytest.raises(DomainError, match="not Hermitian within 1e-10"):
-            to_projectors(EigenschaftOp(m))
+        assert door_message(m) == (
+            "not Hermitian: residual 1.000e-09 exceeds 1e-10"
+        )
+
+    def test_sign_gate_stays_behind_the_residual_gates(self):
+        """``I + 1.1e-8 (x x^dag - y y^dag)`` on two Fourier columns at
+        n = 512 passes every gate of the constructor (involution residual
+        8.6e-11), and ``to_projectors`` refuses its eigenvalues
+        ``1 +- 1.1e-8``."""
+        n = 512
+        x, y = (np.exp(2j * np.pi * k * np.arange(n) / n) / np.sqrt(n)
+                for k in (1, 2))
+        m = np.eye(n) + 1.1e-8 * (np.outer(x, x.conj()) - np.outer(y, y.conj()))
+        assert involution_residual(m) <= TOL_INV
+        op = EigenschaftOp(m)
+        with pytest.raises(DomainError, match=r"eigenvalue 0\.99999998\d* is not "
+                                              r"within 1e-8 of \+-1; input is not"):
+            to_projectors(op)
 
     def test_plain_constructor_admits_exact_spectrum(self):
         """Coupling the two eigenspaces of ``diag(1, -1)`` by 1e-7 moves
@@ -616,6 +687,10 @@ class TestAlgebraTable:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             algebra_table([hadamard(), EigenschaftOp.from_matrix(np.eye(3))])
+
+    def test_empty_family(self):
+        with pytest.raises(DomainError, match="^family must be non-empty$"):
+            algebra_table([])
 
 
 class TestKronFamily:

@@ -103,6 +103,14 @@ class TestOperatorFormat:
         with pytest.raises(SerializationError, match="trace_class"):
             serialize.op_from_dict(d)
 
+    @pytest.mark.parametrize("declared", [1.5, "1"])
+    def test_non_integer_trace_class_rejected(self, declared):
+        d = serialize.op_to_dict(EigenschaftOp.from_matrix(np.diag([1.0, -1.0, 1.0])))
+        d["trace_class"] = declared
+        with pytest.raises(SerializationError,
+                           match="^'trace_class' must be an integer$"):
+            serialize.op_from_dict(d)
+
     def test_near_involution_is_refused(self):
         d = serialize.matrix_to_dict(np.diag([1.0 + 1e-7, -1.0 - 1e-7]))
         with pytest.raises(DomainError, match="not an involution"):
@@ -131,6 +139,13 @@ class TestProjectorSetFormat:
         d = serialize.projector_set_to_dict(ps)
         d["dim"] = 3
         with pytest.raises(SerializationError):
+            serialize.projector_set_from_dict(d)
+
+    def test_projectors_must_be_a_list(self):
+        d = serialize.projector_set_to_dict(ProjectorSet.standard_basis(2))
+        d["projectors"] = tuple(d["projectors"])
+        with pytest.raises(SerializationError,
+                           match="^'projectors' must be a list of matrices$"):
             serialize.projector_set_from_dict(d)
 
 

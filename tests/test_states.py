@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from eigenschaft.errors import DomainError, ShapeError
-from eigenschaft.linalg import max_abs
+from eigenschaft.linalg import MAX_MAGNITUDE, max_abs
 from eigenschaft.operators import H2Params, build_h2, hadamard
 from eigenschaft.states import (
+    DISPERSION_EPS,
     DensityMatrix,
     StateVector,
     classify,
@@ -37,6 +38,10 @@ class TestStateVector:
     def test_rejects_matrix_input(self):
         with pytest.raises(ShapeError):
             StateVector(np.eye(2))
+
+    def test_basis_index_out_of_range(self):
+        with pytest.raises(ShapeError, match="^basis index 2 out of range for dim 2$"):
+            StateVector.basis_state(2, 2)
 
     def test_amplitudes_read_only(self):
         s = e(2, 0)
@@ -129,6 +134,32 @@ class TestDecomposeState:
             if abs(w[0] - w[-1]) > 1e-6:
                 mix = StateVector.normalized(v[:, 0] + v[:, -1])
                 assert decompose_state(a, mix).dispersion > 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e6, 1e50, 1e99, MAX_MAGNITUDE])
+    def test_eigenvector_at_every_scale(self, scale):
+        """Every unit phase is an eigenvector of ``[[scale]]``: dispersion
+        at or below the cut and no residual state, up to the magnitude
+        bound."""
+        a = np.array([[scale]])
+        cut = DISPERSION_EPS * max(1.0, scale * scale)
+        for phase in np.random.default_rng(20).uniform(-np.pi, np.pi, 300):
+            d = decompose_state(a, StateVector(np.array([np.exp(1j * phase)])))
+            assert d.mean == pytest.approx(scale, rel=1e-14)
+            assert 0.0 <= d.dispersion <= cut
+            assert d.residual_state is None
+
+    def test_dispersion_matches_second_moment_formula(self):
+        """Away from eigenvectors the remainder's squared length is the
+        second moment minus the squared mean, to relative 1e-12."""
+        rng = np.random.default_rng(21)
+        for n in range(2, 65):
+            a = random_hermitian(n, rng)
+            psi = random_state(n, rng)
+            image = a @ psi
+            mean = np.vdot(psi, image).real
+            second_moment = np.vdot(image, image).real
+            d = decompose_state(a, StateVector(psi))
+            assert d.dispersion == pytest.approx(second_moment - mean**2, rel=1e-12)
 
 
 class TestOuterProduct:
