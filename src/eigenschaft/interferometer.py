@@ -166,7 +166,7 @@ def recover_state(fr: FringeRecord) -> RecoveryResult:
     """Invert a fringe record into arm magnitudes and relative phase.
 
     Fits ``I1(phi)`` by linear least squares on the basis ``{1, cos phi,
-    sin phi}``.  The fitted offset ``C`` and visibility ``V`` determine the
+    sin phi}``, with one step of iterative refinement.  The fitted offset ``C`` and visibility ``V`` determine the
     magnitudes through ``mag1^2 + mag2^2 = 2C`` and ``2 mag1 mag2 = V``;
     the phase comes from the quadrature coefficients.  A fringe with
     ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
@@ -180,6 +180,11 @@ def recover_state(fr: FringeRecord) -> RecoveryResult:
     coeffs, _, rank, _ = np.linalg.lstsq(design, fr.intensity_port1, rcond=None)
     if rank < 3:
         raise FitError("degenerate phase design: sweep does not span a fringe")
+    # One step of iterative refinement on the same design: the magnitude
+    # split is sqrt(2C - V), so roundoff d in the fitted 2C - V costs about
+    # sqrt(d) / 2 in each magnitude.
+    coeffs = coeffs + np.linalg.lstsq(
+        design, fr.intensity_port1 - design @ coeffs, rcond=None)[0]
     c0, c1, c2 = (float(c) for c in coeffs)
     residual_rms = float(
         np.sqrt(np.mean((design @ coeffs - fr.intensity_port1) ** 2))

@@ -43,7 +43,7 @@ MAX_MAGNITUDE = 1e100
 def check_magnitude(a, noun: str, error=DomainError) -> None:
     """Raise ``error`` unless every entry of ``a`` is finite and at most
     ``MAX_MAGNITUDE`` in (complex) magnitude; the message names ``noun``."""
-    if not np.max(np.abs(a), initial=0.0) <= MAX_MAGNITUDE:
+    if not np.abs(a).max(initial=0.0) <= MAX_MAGNITUDE:
         raise error(
             f"{noun} must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
         )
@@ -66,29 +66,20 @@ def as_square(a) -> np.ndarray:
 def freeze_fields(obj, **fields) -> None:
     """Set fields of a frozen dataclass, from its ``__post_init__``.
 
-    An array value is stored as a read-only copy, and so is each array in a
-    tuple value, so the caller's arrays stay writable.  Other values are
-    stored as given.
+    An array value is stored as a read-only copy, so the caller's arrays
+    stay writable.  Other values are stored as given.
     """
     for name, value in fields.items():
-        if isinstance(value, tuple):
-            value = tuple(map(_read_only_copy, value))
-        else:
-            value = _read_only_copy(value)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
         object.__setattr__(obj, name, value)
-
-
-def _read_only_copy(value):
-    if isinstance(value, np.ndarray):
-        value = value.copy()
-        value.setflags(write=False)
-    return value
 
 
 def max_abs(a) -> float:
     """Entrywise max-norm ``max_ij |a_ij|``, the residual norm used
     throughout the package."""
-    return float(np.max(np.abs(np.asarray(a))))
+    return float(np.abs(a).max(initial=0.0))
 
 
 def hermiticity_residual(a) -> float:

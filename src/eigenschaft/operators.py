@@ -117,9 +117,10 @@ class EigenschaftOp:
         return cls(m)
 
 
-def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
+def _first_orthogonality_failure(stack) -> tuple[int, int] | None:
     """First pair ``(i, j)``, ``i < j``, in row-major order with
-    ``max_abs(P_i @ P_j) > TOL_INV``, or None.
+    ``max_abs(P_i @ P_j) > TOL_INV``, or None, for members stacked as one
+    ``(n, n, n)`` array.
 
     Each member is read as ``v_k v_k^dag + E_k``, with ``v_k`` its
     largest-diagonal column scaled to unit length.  With ``e_k = max|E_k|``,
@@ -131,7 +132,6 @@ def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
     The members must already have passed the Hermitian and unit-trace
     gates, which make each largest diagonal entry positive.
     """
-    stack = np.stack(mats)
     n = stack.shape[0]
     diag = np.diagonal(stack, axis1=1, axis2=2).real
     pivots = np.argmax(diag, axis=1)
@@ -144,7 +144,7 @@ def _first_orthogonality_failure(mats) -> tuple[int, int] | None:
     bound = (np.abs(v.conj() @ v.T) * (m * m.T)
              + n * (e * mm.T + mm * e.T + e * e.T))
     for i, j in zip(*np.nonzero(np.triu(bound > TOL_INV / 2.0, k=1))):
-        if max_abs(mats[i] @ mats[j]) > TOL_INV:
+        if max_abs(stack[i] @ stack[j]) > TOL_INV:
             return int(i), int(j)
     return None
 
@@ -157,19 +157,27 @@ class ProjectorSet:
     (rank one); mutual orthogonality; and completeness (the members sum to
     the identity), which together force exactly ``dim`` members.
 
+    The members are stacked once into one ``(n, n, n)`` array, and the
+    three member gates run as batched reductions over it.  A refusal names
+    the first failing member and, within it, the first failing gate in the
+    order Hermitian, idempotent, rank one.
+
     Orthogonality (``max_abs(P_i @ P_j) <= TOL_INV`` for every pair) is
     screened through the unit frame read off the members, with one Gram
     product and an entrywise bound per pair; a pair is multiplied out only
     when its bound does not clear the gate.  A sound family thus costs
     O(n^3) for orthogonality instead of n(n-1)/2 products, and a failing
     one gets the exact product and the same message as a pairwise check.
-    The members are stored as given, read-only.
+
+    ``projectors`` is that stack, read-only, each member bit for bit as
+    given; iterating, indexing, ``len`` and ``sum`` read it member by
+    member.
     """
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(as_square(p) for p in self.projectors)
+        mats = [as_square(p) for p in self.projectors]
         if not mats:
             raise ShapeError("projector set must be non-empty")
         n = mats[0].shape[0]
@@ -180,30 +188,36 @@ class ProjectorSet:
                 f"a complete rank-1 family in dimension {n} has exactly "
                 f"{n} members, got {len(mats)}"
             )
-        for i, p in enumerate(mats):
-            if hermiticity_residual(p) > TOL_HERM:
-                raise DomainError(f"projector {i} is not Hermitian")
-            if max_abs(p @ p - p) > TOL_INV:
-                raise DomainError(f"projector {i} is not idempotent")
-            if abs(complex(np.trace(p)) - 1.0) > 1e-8:
-                raise DomainError(f"projector {i} is not rank one")
-        pair = _first_orthogonality_failure(mats)
+        stack = np.stack(mats)
+        failing = np.array([
+            np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+            > TOL_HERM,
+            np.abs(stack @ stack - stack).max(axis=(1, 2)) > TOL_INV,
+            np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) > 1e-8,
+        ])
+        if failing.any():
+            i = int(np.argmax(failing.any(axis=0)))
+            noun = ("Hermitian", "idempotent", "rank one")[
+                int(np.argmax(failing[:, i]))]
+            raise DomainError(f"projector {i} is not {noun}")
+        pair = _first_orthogonality_failure(stack)
         if pair is not None:
             raise DomainError(
                 f"projectors {pair[0]} and {pair[1]} are not orthogonal"
             )
-        if max_abs(sum(mats) - np.eye(n)) > TOL_INV:
+        if max_abs(stack.sum(axis=0) - np.eye(n)) > TOL_INV:
             raise DomainError("projectors do not resolve the identity")
-        freeze_fields(self, projectors=mats)
+        freeze_fields(self, projectors=stack)
 
     @property
     def dim(self) -> int:
-        return int(self.projectors[0].shape[0])
+        return int(self.projectors.shape[1])
 
     @classmethod
     def from_columns(cls, u) -> "ProjectorSet":
         """Rank-1 projectors onto the columns of a unitary matrix."""
-        return cls(tuple(np.outer(c, c.conj()) for c in as_square(u).T))
+        v = as_square(u).T
+        return cls(v[:, :, None] * v.conj()[:, None, :])
 
     @classmethod
     def standard_basis(cls, dim: int) -> "ProjectorSet":

@@ -117,15 +117,15 @@ class Decomposition:
 def superpose(c1: complex, s1: StateVector, c2: complex, s2: StateVector) -> StateVector:
     """Normalized linear combination ``c1*s1 + c2*s2``.
 
-    Raises ``DomainError`` when the combination is (numerically) the zero
-    vector, i.e. the two terms cancel.
+    Raises ``DomainError`` when the two terms cancel: the combination's
+    norm is at most ``1e-12 * (|c1| + |c2|)``, its largest possible norm.
     """
     if s1.dim != s2.dim:
         raise ShapeError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     check_magnitude([c1, c2], "coefficients")
     combo = c1 * s1.amplitudes + c2 * s2.amplitudes
     norm = float(np.linalg.norm(combo))
-    if norm <= 1e-12:
+    if norm <= 1e-12 * (abs(c1) + abs(c2)):
         raise DomainError("degenerate superposition: the components cancel")
     return StateVector(combo / norm)
 

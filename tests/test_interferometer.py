@@ -253,6 +253,25 @@ class TestHolographicReport:
             assert report.truth_error.mag2 <= 1e-8
             assert report.truth_error.phase <= 1e-8
 
+    def test_near_equal_arms_scan(self):
+        """Arms split by ``|a|^2 - |b|^2 = d`` for d = 0 and 25 log-spaced
+        values in [1e-10, 1e-6], at every odd sweep size 3..399 with a
+        random relative phase.  The fringe holds only ``(|a| - |b|)^2``,
+        so roundoff in the fitted ``2C - V`` enters the magnitudes as a
+        square root; the bound is the documented 1e-8 all the same."""
+        rng = np.random.default_rng(65)
+        splits = np.concatenate([[0.0], np.logspace(-10, -6, 25)])
+        misses = []
+        for n in range(3, 400, 2):
+            cfg = config(n)
+            for d in splits:
+                state = two_arm_state(np.sqrt((1 + d) / 2), np.sqrt((1 - d) / 2),
+                                      rng.uniform(-np.pi, np.pi))
+                err = holographic_report(state, cfg).truth_error
+                if max(err.mag1, err.mag2) > 1e-8:
+                    misses.append((n, d, max(err.mag1, err.mag2)))
+        assert misses == []
+
     def test_noisy_phase_error_within_regression_bound(self):
         state = two_arm_state(*(1 / np.sqrt(2),) * 2, 0.0)
         report = holographic_report(state, config(64, sigma=0.01), seed=1)

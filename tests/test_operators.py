@@ -401,6 +401,27 @@ class TestProjectorSetMatchesPairwise:
         mats[3] = mats[3] + 1e-9 * x / max_abs(x)
         assert self.check(mats) == "projector 3 is not idempotent"
 
+    def test_first_failing_member_is_named(self):
+        """Member 1 (Hermitian with unit trace) is not idempotent and member
+        2 is not Hermitian: the stacked gates name member 1, as the
+        member-by-member loop does."""
+        mats = frame_projectors(haar_unitary(4, np.random.default_rng(64)))
+        mats[1] = 1.5 * mats[1] - np.eye(4) / 8
+        mats[2] = mats[2].copy()
+        mats[2][0, 1] += 1e-9
+        assert self.check(mats) == "projector 1 is not idempotent"
+
+    def test_hermiticity_is_checked_before_idempotency(self):
+        mats = frame_projectors(haar_unitary(3, np.random.default_rng(65)))
+        mats[0] = mats[0] + np.triu(np.full((3, 3), 1e-3), k=1)
+        assert max_abs(mats[0] @ mats[0] - mats[0]) > TOL_INV
+        assert self.check(mats) == "projector 0 is not Hermitian"
+
+    def test_member_gates_come_before_orthogonality(self):
+        p = np.diag([1.0, 0.0, 0.0])
+        assert self.check([p, p, np.diag([0.0, 1.0, 1.0])]) == (
+            "projector 2 is not rank one")
+
     def test_sound_frames(self):
         rng = np.random.default_rng(62)
         assert self.check(frame_projectors(HADAMARD)) is None  # tied diagonal

@@ -62,6 +62,17 @@ class TestSuperpose:
         with pytest.raises(DomainError):
             superpose(1.0, e(2, 0), -1.0, e(2, 0))
 
+    def test_small_coefficients_are_not_a_cancellation(self):
+        """The cancellation cut is relative to ``|c1| + |c2|``, so tiny
+        coefficients that cancel nothing still give a state."""
+        out = superpose(1e-13, e(2, 0), 1e-13, e(2, 1))
+        assert max_abs(out.amplitudes - np.array([1.0, 1.0]) / np.sqrt(2)) <= 1e-15
+
+    def test_exact_cancellation_raises_at_any_scale(self):
+        for c in (1.0, 1e-13, 1e90):
+            with pytest.raises(DomainError, match="the components cancel"):
+                superpose(c, e(2, 0), -c, e(2, 0))
+
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             superpose(1.0, e(2, 0), 1.0, e(3, 0))
