@@ -24,7 +24,7 @@ from .interferometer import (
     run_interferometer,
     uniform_sweep,
 )
-from .linalg import TOL_INV
+from .linalg import TOL_HERM, TOL_INV
 from .operators import (
     DiagSpec,
     H2Params,
@@ -139,7 +139,7 @@ def _cmd_validate(args) -> tuple[str, int]:
     payload = serialize.dumps(serialize.validation_report_to_dict(report))
     code = 0
     if args.strict and (report.involution_residual > TOL_INV
-                        or report.hermiticity_residual > TOL_INV):
+                        or report.hermiticity_residual > TOL_HERM):
         print(
             f"strict gate failed: involution residual "
             f"{report.involution_residual:.3e}, hermiticity residual "

@@ -18,6 +18,7 @@ flagged as conventional.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,13 @@ class InterferometerConfig:
 
 
 def uniform_sweep(n: int) -> np.ndarray:
-    """``n`` equally spaced phases covering one full fringe period."""
+    """``n`` equally spaced phases covering one full fringe period.
+
+    ``n`` must be an integer (a Python or numpy one); a fractional count
+    would not close the period and is refused with ``DomainError``.
+    """
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"sweep size must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("sweep needs at least one phase")
     return 2.0 * np.pi * np.arange(n) / n

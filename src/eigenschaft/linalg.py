@@ -63,6 +63,18 @@ def as_square(a) -> np.ndarray:
     return m
 
 
+def as_hermitian(a) -> np.ndarray:
+    """``as_square(a)``, refused with ``DomainError`` unless its
+    Hermiticity residual is within ``TOL_HERM``."""
+    m = as_square(a)
+    herm = hermiticity_residual(m)
+    if herm > TOL_HERM:
+        raise DomainError(
+            f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
+        )
+    return m
+
+
 def freeze_fields(obj, **fields) -> None:
     """Set fields of a frozen dataclass, from its ``__post_init__``.
 
@@ -138,12 +150,7 @@ def hermitian_eig(a) -> Spectrum:
         orthonormality or reconstruction check (which a non-finite result
         always does).
     """
-    m = as_square(a)
-    herm = hermiticity_residual(m)
-    if herm > TOL_HERM:
-        raise DomainError(
-            f"matrix is not Hermitian within {TOL_HERM:g} (residual {herm:.3e})"
-        )
+    m = as_hermitian(a)
     h = (m + m.conj().T) / 2.0
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h)

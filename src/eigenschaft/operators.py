@@ -33,6 +33,7 @@ from .errors import ConstructionError, DomainError, ShapeError
 from .linalg import (
     TOL_HERM,
     TOL_INV,
+    as_hermitian,
     as_square,
     check_magnitude,
     freeze_fields,
@@ -47,6 +48,9 @@ from .linalg import (
 PHASE_EPS = 1e-12
 #: A product counts as expressible in span{I, family} below this residual.
 EXPRESSIBLE_TOL = 1e-9
+#: A trace or eigenvalue must lie this close to the integer it stands for:
+#: an involution's trace class, a projector's unit trace, the +-1 spectrum.
+TOL_SPECTRUM = 1e-8
 
 
 def wrap_phase(x):
@@ -76,26 +80,22 @@ class EigenschaftOp:
     The constructor is the package's one operator gate.  It raises
     ``DomainError`` when the Hermiticity residual exceeds ``TOL_HERM``, the
     involution residual exceeds ``TOL_INV``, or the trace is farther than
-    1e-8 from an integer of the dimension's parity, in that order.
+    ``TOL_SPECTRUM`` from an integer of the dimension's parity, in that
+    order.
     """
 
     matrix: np.ndarray
     trace_class: int = field(init=False)
 
     def __post_init__(self):
-        m = as_square(self.matrix)
-        herm = hermiticity_residual(m)
-        if herm > TOL_HERM:
-            raise DomainError(
-                f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
-            )
+        m = as_hermitian(self.matrix)
         inv = involution_residual(m)
         if inv > TOL_INV:
             raise DomainError(
                 f"not an involution: residual {inv:.3e} exceeds {TOL_INV:g}"
             )
         trace, tc, dist = _trace_class(m)
-        if dist > 1e-8:
+        if dist > TOL_SPECTRUM:
             raise DomainError(
                 f"trace {trace!r} is {dist:.3e} away from the nearest "
                 f"admissible trace class {tc}"
@@ -193,7 +193,7 @@ class ProjectorSet:
             np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
             > TOL_HERM,
             np.abs(stack @ stack - stack).max(axis=(1, 2)) > TOL_INV,
-            np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) > 1e-8,
+            np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) > TOL_SPECTRUM,
         ])
         if failing.any():
             i = int(np.argmax(failing.any(axis=0)))
@@ -369,14 +369,14 @@ def from_projector_flip(ps: ProjectorSet, signs) -> EigenschaftOp:
     Any assignment of ``+-1`` signs yields a Hermitian involution whose
     trace class is the sum of the signs.
     """
-    sgn = [int(x) for x in signs]
-    if len(sgn) != ps.dim:
+    signs = list(signs)
+    if len(signs) != ps.dim:
         raise DomainError(
-            f"need {ps.dim} signs for dimension {ps.dim}, got {len(sgn)}"
+            f"need {ps.dim} signs for dimension {ps.dim}, got {len(signs)}"
         )
-    if any(x not in (1, -1) for x in sgn):
+    if any(x not in (1, -1) for x in signs):
         raise DomainError("signs must be +1 or -1")
-    h = sum(s * p for s, p in zip(sgn, ps.projectors))
+    h = sum(int(s) * p for s, p in zip(signs, ps.projectors))
     return EigenschaftOp.from_matrix(h)
 
 
@@ -385,9 +385,9 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
 
     ``H`` is diagonalised by :func:`hermitian_eig`, and each eigenvector
     gives one projector.  The gate is that of the eigensolve: the input
-    Hermitian within ``TOL_HERM`` and every eigenvalue within 1e-8 of +-1,
-    a safety check behind the constructor's residual gates.  Signs come
-    out ascending,
+    Hermitian within ``TOL_HERM`` and every eigenvalue within
+    ``TOL_SPECTRUM`` of +-1, a safety check behind the constructor's
+    residual gates.  Signs come out ascending,
     ``(-1,) * n_minus + (1,) * n_plus``.
 
     Inside each eigenspace the basis is LAPACK's: deterministic but not
@@ -398,7 +398,7 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     signs = []
     for lam in spectrum.eigenvalues:
         k = 1 if lam > 0 else -1
-        if not abs(lam - k) <= 1e-8:
+        if not abs(lam - k) <= TOL_SPECTRUM:
             raise DomainError(
                 f"eigenvalue {float(lam)!r} is not within 1e-8 of +-1; "
                 "input is not an involution"
@@ -481,8 +481,11 @@ class AlgebraTable:
 def algebra_table(family: list[EigenschaftOp]) -> AlgebraTable:
     """Express every pairwise product in span{identity, family members}.
 
-    The expansion solves a real least-squares problem over the stacked real
-    and imaginary parts of the entries; a product counts as expressible
+    Each expansion is the minimum-norm real least-squares solution over the
+    real and imaginary parts of the entries.  The design is factored once,
+    as a pseudo-inverse with ``lstsq``'s singular-value cutoff; row ``i``
+    then expands all products ``H_i H_j`` with one matrix product, and its
+    commutators (``j > i``) reuse them.  A product counts as expressible
     when the max-norm residual of its reconstruction is at most
     ``EXPRESSIBLE_TOL``.
     """
@@ -491,28 +494,23 @@ def algebra_table(family: list[EigenschaftOp]) -> AlgebraTable:
     dim = family[0].dim
     if any(op.dim != dim for op in family):
         raise ShapeError("family members must share one dimension")
-    basis = [np.eye(dim, dtype=complex)] + [op.matrix for op in family]
-    design = np.column_stack(
-        [np.concatenate([b.ravel().real, b.ravel().imag]) for b in basis]
-    )
+    stack = np.stack([op.matrix for op in family])
+    basis = np.concatenate([np.eye(dim, dtype=complex)[None], stack])
+    # Each (n, n) complex matrix is read as one real row of 2 n^2 entries.
+    design = basis.reshape(len(basis), -1).view(float).T
+    solve = np.linalg.pinv(design, rcond=np.finfo(float).eps * max(design.shape))
     products: dict[tuple[int, int], ProductExpansion] = {}
     commutators: dict[tuple[int, int], float] = {}
-    for i, hi in enumerate(family):
-        for j, hj in enumerate(family):
-            prod = hi.matrix @ hj.matrix
-            target = np.concatenate([prod.ravel().real, prod.ravel().imag])
-            coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-            recon = sum(c * b for c, b in zip(coeffs, basis))
-            residual = max_abs(prod - recon)
-            products[(i, j)] = ProductExpansion(
-                coefficients=coeffs,
-                residual=residual,
-                expressible=residual <= EXPRESSIBLE_TOL,
-            )
-            if i < j:
-                commutators[(i, j)] = max_abs(
-                    prod - hj.matrix @ hi.matrix
-                )
+    for i, hi in enumerate(stack):
+        row = hi @ stack
+        coeffs = row.reshape(len(row), -1).view(float) @ solve.T
+        recon = np.tensordot(coeffs, basis, axes=1)
+        residuals = np.abs(row - recon).max(axis=(1, 2)).tolist()
+        for j, (c, r) in enumerate(zip(coeffs, residuals)):
+            products[(i, j)] = ProductExpansion(c, r, r <= EXPRESSIBLE_TOL)
+        swapped = np.abs(row[i + 1:] - stack[i + 1:] @ hi).max(axis=(1, 2))
+        commutators.update(
+            ((i, j), d) for j, d in enumerate(swapped.tolist(), start=i + 1))
     return AlgebraTable(dim=dim, products=products, commutator_norms=commutators)
 
 

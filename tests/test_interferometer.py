@@ -348,3 +348,13 @@ class TestUniformSweep:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             uniform_sweep(0)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4"])
+    def test_rejects_non_integer_count(self, n):
+        """A fractional count would not close one period (2.5 gave the
+        phases 0, 0.8 pi and 1.6 pi)."""
+        with pytest.raises(DomainError, match="^sweep size must be an integer"):
+            uniform_sweep(n)
+
+    def test_accepts_numpy_integer(self):
+        assert np.array_equal(uniform_sweep(np.int64(5)), uniform_sweep(5))

@@ -10,6 +10,7 @@ from eigenschaft.dynamics import TwoLevelSystem
 from eigenschaft.errors import ConvergenceError, DomainError, ShapeError
 from eigenschaft.interferometer import FringeRecord, InterferometerConfig
 from eigenschaft.linalg import (
+    as_hermitian,
     as_square,
     freeze_fields,
     hermitian_eig,
@@ -25,7 +26,7 @@ from eigenschaft.operators import (
     hadamard,
     validate,
 )
-from eigenschaft.states import DensityMatrix, StateVector
+from eigenschaft.states import DensityMatrix, StateVector, decompose_state
 
 from helpers import haar_unitary, random_hermitian, random_involution
 
@@ -49,6 +50,28 @@ class TestAsSquare:
         m = np.eye(2, dtype=complex)
         assert as_square(m) is m
         assert as_square([[1, 0], [0, 1]]).dtype == complex
+
+
+class TestAsHermitian:
+    SKEW = np.array([[1.0, 1e-7], [0.0, -1.0]])
+
+    def test_returns_the_square_matrix(self):
+        m = np.eye(2, dtype=complex)
+        assert as_hermitian(m) is m
+
+    @pytest.mark.parametrize("door", [
+        as_hermitian,
+        hermitian_eig,
+        EigenschaftOp,
+        DensityMatrix,
+        lambda m: decompose_state(m, StateVector.basis_state(2, 0)),
+    ], ids=["as_hermitian", "hermitian_eig", "EigenschaftOp", "DensityMatrix",
+            "decompose_state"])
+    def test_every_door_reports_the_residual(self, door):
+        """One gate and one message for every Hermitian door."""
+        with pytest.raises(DomainError) as exc:
+            door(self.SKEW)
+        assert str(exc.value) == "not Hermitian: residual 1.000e-07 exceeds 1e-10"
 
 
 class TestFreezeFields:

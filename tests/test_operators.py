@@ -14,6 +14,7 @@ from eigenschaft.linalg import (
     max_abs,
 )
 from eigenschaft.operators import (
+    EXPRESSIBLE_TOL,
     DiagSpec,
     EigenschaftOp,
     H2Params,
@@ -56,6 +57,30 @@ def pairwise_verdict(projectors):
     if max_abs(sum(mats) - np.eye(n)) > TOL_INV:
         return "projectors do not resolve the identity"
     return None
+
+
+def pairwise_table(family):
+    """Reference for ``algebra_table``: one ``lstsq`` per product over the
+    stacked real and imaginary parts, and each commutator from a second
+    product.  Returns ``(products, commutators)`` keyed as the table is,
+    with ``(coefficients, residual, expressible)`` per product."""
+    dim = family[0].dim
+    basis = [np.eye(dim, dtype=complex)] + [op.matrix for op in family]
+    design = np.column_stack(
+        [np.concatenate([b.ravel().real, b.ravel().imag]) for b in basis]
+    )
+    products, commutators = {}, {}
+    for i, hi in enumerate(family):
+        for j, hj in enumerate(family):
+            prod = hi.matrix @ hj.matrix
+            target = np.concatenate([prod.ravel().real, prod.ravel().imag])
+            coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+            recon = sum(c * b for c, b in zip(coeffs, basis))
+            residual = max_abs(prod - recon)
+            products[(i, j)] = (coeffs, residual, residual <= EXPRESSIBLE_TOL)
+            if i < j:
+                commutators[(i, j)] = max_abs(prod - hj.matrix @ hi.matrix)
+    return products, commutators
 
 
 def library_verdict(projectors):
@@ -467,10 +492,9 @@ class TestProjectorRoundtrip:
 
     def test_bad_signs_rejected(self):
         ps = ProjectorSet.standard_basis(2)
-        with pytest.raises(DomainError):
-            from_projector_flip(ps, (1, 2))
-        with pytest.raises(DomainError):
-            from_projector_flip(ps, (1,))
+        for signs in ((1, 2), (1.7, -1), (1,)):
+            with pytest.raises(DomainError):
+                from_projector_flip(ps, signs)
 
     def test_diag_involution_projectors(self):
         pd = to_projectors(EigenschaftOp.from_matrix(np.diag([1.0, -1.0])))
@@ -712,6 +736,46 @@ class TestAlgebraTable:
     def test_empty_family(self):
         with pytest.raises(DomainError, match="^family must be non-empty$"):
             algebra_table([])
+
+
+def _reference_families():
+    rng = np.random.default_rng(31)
+    d = EigenschaftOp.from_matrix(np.diag([1.0, -1.0]))
+    for n in (2, 3, 4, 8, 16):
+        ps = ProjectorSet.from_columns(haar_unitary(n, rng))
+        yield f"flip-{n}", complement_family(ps)
+    ps4 = ProjectorSet.from_columns(haar_unitary(4, rng))
+    yield "traceless-4", complement_family(ps4, kind="traceless")
+    yield "kron-hadamard", list(build_kron_family(hadamard(), hadamard()))
+    yield "kron-mixed", list(build_kron_family(hadamard(), d))
+    random_h2 = [build_h2(H2Params(*rng.uniform(-np.pi, np.pi, 2)))
+                 for _ in range(2)]
+    yield "kron-random", list(build_kron_family(*random_h2))
+    yield "hadamard-diag", [hadamard(), d]
+    yield "random-6", [EigenschaftOp.from_matrix(random_involution(6, rng))
+                       for _ in range(5)]
+
+
+REFERENCE_FAMILIES = list(_reference_families())
+
+
+@pytest.mark.parametrize("family", [f for _, f in REFERENCE_FAMILIES],
+                         ids=[name for name, _ in REFERENCE_FAMILIES])
+def test_algebra_table_matches_pairwise_reference(family):
+    """One factorisation per table gives what one ``lstsq`` per product
+    gives: the same keys, coefficients and residuals within 1e-12, the same
+    verdicts and commutators within 1e-13."""
+    table = algebra_table(family)
+    products, commutators = pairwise_table(family)
+    assert table.products.keys() == products.keys()
+    assert table.commutator_norms.keys() == commutators.keys()
+    for key, (coeffs, residual, expressible) in products.items():
+        got = table.products[key]
+        assert max_abs(got.coefficients - coeffs) <= 1e-12
+        assert abs(got.residual - residual) <= 1e-12
+        assert got.expressible is expressible
+    for key, norm in commutators.items():
+        assert abs(table.commutator_norms[key] - norm) <= 1e-13
 
 
 class TestKronFamily:

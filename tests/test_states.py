@@ -32,8 +32,21 @@ class TestStateVector:
         assert np.allclose(s.amplitudes, [0.6, 0.8j])
 
     def test_rejects_zero_vector(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^cannot normalize the zero vector$"):
             StateVector.normalized([0.0, 0.0])
+
+    @pytest.mark.parametrize("values, want", [
+        ([1e-13, 0.0], [1.0, 0.0]),
+        ([1e-170, 1e-170], [2 ** -0.5, 2 ** -0.5]),
+        ([5e-324, 0.0], [1.0, 0.0]),
+        ([3e-300j, 4e-300], [0.6j, 0.8]),
+        ([MAX_MAGNITUDE, 1j * MAX_MAGNITUDE], [2 ** -0.5, 2 ** -0.5 * 1j]),
+    ])
+    def test_normalizes_every_nonzero_scale(self, values, want):
+        """Only the zero vector is refused: the vector is scaled by its
+        largest modulus first, so its norm neither underflows nor is cut."""
+        s = StateVector.normalized(values)
+        assert max_abs(s.amplitudes - np.array(want)) <= 1e-15
 
     def test_rejects_matrix_input(self):
         with pytest.raises(ShapeError):
