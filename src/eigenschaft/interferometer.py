@@ -46,12 +46,12 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.splitter.dim != 2:
             raise ShapeError("splitter must be a dimension-2 operator")
+        check_magnitude(self.sweep_phases, "sweep phases", real=True)
         phases = np.asarray(self.sweep_phases, dtype=float).reshape(-1)
         if phases.size == 0:
             raise DomainError("phase sweep must be non-empty")
-        check_magnitude(phases, "sweep phases")
+        check_magnitude(self.shot_noise_sigma, "shot noise sigma", real=True)
         sigma = float(self.shot_noise_sigma)
-        check_magnitude(sigma, "shot noise sigma")
         if sigma < 0.0:
             raise DomainError("shot noise sigma must be nonnegative")
         freeze_fields(self, sweep_phases=phases, shot_noise_sigma=sigma)
@@ -61,12 +61,16 @@ def uniform_sweep(n: int) -> np.ndarray:
     """``n`` equally spaced phases covering one full fringe period.
 
     ``n`` must be an integer (a Python or numpy one); a fractional count
-    would not close the period and is refused with ``DomainError``.
+    would not close the period, and a count past the largest float array
+    numpy can index would not fit in one, so both are refused with
+    ``DomainError``.
     """
     if not isinstance(n, numbers.Integral):
         raise DomainError(f"sweep size must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("sweep needs at least one phase")
+    if n > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise DomainError(f"sweep size {n} is more phases than a numpy array can hold")
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -79,13 +83,14 @@ class FringeRecord:
     intensity_port2: np.ndarray
 
     def __post_init__(self):
+        for name, arr in (("phases", self.phases), ("I1", self.intensity_port1),
+                          ("I2", self.intensity_port2)):
+            check_magnitude(arr, name, real=True)
         phases = np.asarray(self.phases, dtype=float).reshape(-1)
         i1 = np.asarray(self.intensity_port1, dtype=float).reshape(-1)
         i2 = np.asarray(self.intensity_port2, dtype=float).reshape(-1)
         if not (phases.size == i1.size == i2.size) or phases.size == 0:
             raise ShapeError("phases and intensities must have equal nonzero length")
-        for name, arr in (("phases", phases), ("I1", i1), ("I2", i2)):
-            check_magnitude(arr, name)
         if np.any(i1 < 0.0) or np.any(i2 < 0.0):
             raise DomainError("intensities must be nonnegative")
         freeze_fields(self, phases=phases, intensity_port1=i1,
@@ -243,7 +248,7 @@ def holographic_report(state: StateVector, cfg: InterferometerConfig,
     fringe = run_interferometer(state, cfg, rng_seed=seed)
     result = recover_state(fringe)
     a, b = state.amplitudes
-    true_mags = sorted((abs(a), abs(b)), reverse=True)
+    true_mags = sorted((float(abs(a)), float(abs(b))), reverse=True)
     true_phase = wrap_phase(float(np.angle(b) - np.angle(a)))
     rec = result.state
     return HolographicReport(

@@ -40,9 +40,18 @@ TOL_INV = 1e-10
 MAX_MAGNITUDE = 1e100
 
 
-def check_magnitude(a, noun: str, error=DomainError) -> None:
+def check_magnitude(a, noun: str, error=DomainError, real: bool = False) -> None:
     """Raise ``error`` unless every entry of ``a`` is finite and at most
-    ``MAX_MAGNITUDE`` in (complex) magnitude; the message names ``noun``."""
+    ``MAX_MAGNITUDE`` in (complex) magnitude; the message names ``noun``.
+
+    A door that takes real numbers passes ``real=True`` and calls this
+    before it converts ``a`` to float, which would drop an imaginary part:
+    ``a`` of a complex type is then refused first, as ``{noun} must be
+    real``, whatever its imaginary part.
+    """
+    a = np.asarray(a)
+    if real and np.iscomplexobj(a):
+        raise error(f"{noun} must be real")
     if not np.abs(a).max(initial=0.0) <= MAX_MAGNITUDE:
         raise error(
             f"{noun} must be finite and at most {MAX_MAGNITUDE:g} in magnitude"

@@ -244,7 +244,7 @@ class H2Params:
     delta_phi: float
 
     def __post_init__(self):
-        check_magnitude([self.gamma_angle, self.delta_phi], "angles")
+        check_magnitude([self.gamma_angle, self.delta_phi], "angles", real=True)
 
 
 class H2Elements(NamedTuple):
@@ -330,13 +330,13 @@ class DiagSpec:
                 f"{1 if self.dim == 3 else 2} = {target:g} (got {total!r})"
             )
         n_free = 2 if self.dim == 3 else 3
+        check_magnitude(self.phases, "phases", ConstructionError, real=True)
         phases = tuple(float(p) for p in self.phases)
         if len(phases) != n_free:
             raise ConstructionError(
                 f"dimension {self.dim} takes {n_free} free phases, "
                 f"got {len(phases)}"
             )
-        check_magnitude(phases, "phases", ConstructionError)
         freeze_fields(self, alphas=alphas, phases=phases,
                       trace_sign=int(self.trace_sign), dim=int(self.dim))
 

@@ -20,6 +20,7 @@ strings.  A matrix is read by one ``np.fromiter`` over its numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from itertools import chain
 
@@ -337,33 +338,11 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 
 def classification_to_dict(c: Classification) -> dict:
-    return {
-        "kind": c.kind,
-        "purity": float(c.purity),
-        "rho_dispersion": float(c.rho_dispersion),
-    }
+    return dataclasses.asdict(c)
 
 
 def holographic_report_to_dict(report: HolographicReport) -> dict:
-    rec, diag, err = report.recovered, report.diagnostics, report.truth_error
-    return {
-        "recovered": {
-            "mag1": float(rec.mag1),
-            "mag2": float(rec.mag2),
-            "relative_phase": float(rec.relative_phase),
-        },
-        "diagnostics": {
-            "residual_rms": float(diag.residual_rms),
-            "offset": float(diag.offset),
-            "visibility": float(diag.visibility),
-            "ambiguous": bool(diag.ambiguous),
-        },
-        "truth_error": {
-            "mag1": float(err.mag1),
-            "mag2": float(err.mag2),
-            "phase": float(err.phase),
-        },
-    }
+    return dataclasses.asdict(report)
 
 
 def beat_trace_csv(samples: list[BeatSample]) -> str:

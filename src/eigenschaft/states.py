@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .linalg import (
     as_hermitian,
+    as_square,
     check_magnitude,
     freeze_fields,
     hermitian_eig,
@@ -85,16 +86,17 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator, refused with
+    ``DomainError`` in that order; ``hermitian_eig`` is the Hermitian gate."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_hermitian(self.matrix)
+        m = as_square(self.matrix)
+        lo = float(hermitian_eig(m).eigenvalues[0])
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TOL_NORM:
             raise DomainError(f"density matrix must have unit trace, got {tr!r}")
-        lo = float(hermitian_eig(m).eigenvalues[0])
         if lo < PSD_FLOOR:
             raise DomainError(
                 f"density matrix must be positive semidefinite "

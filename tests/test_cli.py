@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eigenschaft import cli
 from eigenschaft.cli import main
+from eigenschaft.errors import DomainError
 from eigenschaft.interferometer import (
     InterferometerConfig,
     run_interferometer,
@@ -17,6 +20,7 @@ from eigenschaft.interferometer import (
 from eigenschaft.linalg import max_abs
 from eigenschaft.operators import (
     DiagSpec,
+    EigenschaftOp,
     H2Params,
     build_from_diag,
     build_h2,
@@ -234,8 +238,33 @@ class TestValidate:
                                  "--strict")
         assert code == 1
         assert json.loads(out)["involution_residual"] > 1e-10
-        assert err == ("strict gate failed: involution residual 1.414e-07, "
-                       "hermiticity residual 0.000e+00, tolerance 1e-10\n")
+        assert err == ("strict gate failed: not an involution: residual "
+                       "1.414e-07 exceeds 1e-10\n")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 8), anti=st.booleans(),
+           exponent=st.floats(-12.0, -6.0), seed=st.integers(0, 2**32 - 1))
+    def test_strict_agrees_with_the_operator_door(self, capsys, tmp_path, n, anti,
+                                                  exponent, seed):
+        """An involution moved by a Hermitian or anti-Hermitian perturbation
+        of size 1e-12 to 1e-6: --strict exits 1 exactly when EigenschaftOp
+        refuses it, with the door's message, after the unchanged report."""
+        rng = np.random.default_rng(seed)
+        d = random_hermitian(n, rng)
+        d = (1j if anti else 1.0) * d / max_abs(d)
+        m = random_involution(n, rng) + 10.0 ** exponent * d
+        path = tmp_path / "m.json"
+        path.write_text(dumps(matrix_to_dict(m)))
+        _, report, _ = run_cli(capsys, "validate", str(path))
+        code, out, err = run_cli(capsys, "validate", str(path), "--strict")
+        assert out == report
+        try:
+            EigenschaftOp(m)
+        except DomainError as exc:
+            assert (code, err) == (1, f"strict gate failed: {exc}\n")
+        else:
+            assert (code, err) == (0, "")
 
     def test_env_tolerance_does_not_loosen_projector_gate(self, capsys, tmp_path,
                                                            monkeypatch):
@@ -471,6 +500,15 @@ class TestSimulate:
         assert proc.stderr.endswith(
             "error: argument --seed: seed must be a nonnegative integer, got '-1'\n"
         )
+
+    @pytest.mark.parametrize("count", ["9223372036854775808", str(10**30)])
+    def test_sweep_count_numpy_cannot_hold(self, capsys, count):
+        code, out, err = run_cli(capsys, "simulate", "--state", EQUAL_STATE,
+                                 "--phases", count)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: sweep size {count} is more phases than a numpy "
+                       "array can hold\n")
 
     def test_non_integer_seed_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -741,6 +779,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sign", ["0", "2", "+-1", "one"])
+    def test_sign_outside_the_choices(self, capsys, sign):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "diag", "--dim", "3", "--alphas", "1,0,0",
+                  "--sign", sign, "--phases", "0,0"])
+        assert exc.value.code == 2
+        assert "argument --sign: invalid " in capsys.readouterr().err
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

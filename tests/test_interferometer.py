@@ -358,3 +358,12 @@ class TestUniformSweep:
 
     def test_accepts_numpy_integer(self):
         assert np.array_equal(uniform_sweep(np.int64(5)), uniform_sweep(5))
+
+    @pytest.mark.parametrize("n", [2**61, 2**63 - 1, 2**63, 10**30])
+    def test_rejects_counts_numpy_cannot_hold(self, n):
+        """2**61 and 10**30 raised numpy's ValueError, and 2**63 - 1 and
+        2**63 gave an empty sweep.  numpy refuses each of these without
+        allocating; a count from about 1e8 to 2**58 would really be
+        allocated, so none is tested."""
+        with pytest.raises(DomainError, match=f"^sweep size {n} is more phases"):
+            uniform_sweep(n)

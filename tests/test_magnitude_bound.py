@@ -235,6 +235,18 @@ class TestDoors:
         if DOORS[door][2]:
             assert not refused_by_door(door, sign * MAX_MAGNITUDE * 1j)
 
+    @pytest.mark.parametrize("door", [d for d in DOORS if not DOORS[d][2]])
+    @pytest.mark.parametrize("x", [0.5 + 2j, np.complex128(0.5 + 2j), 1.0 + 0j],
+                             ids=["complex", "numpy-complex", "zero-imaginary"])
+    def test_real_door_refuses_complex(self, door, x):
+        """Converting to float would drop the imaginary part with only a
+        ComplexWarning, or fail later with another check's message."""
+        noun, error, _, call = DOORS[door]
+        with pytest.raises(error) as exc:
+            call(x)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{noun} must be real"
+
     @pytest.mark.parametrize("door", DOORS)
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
