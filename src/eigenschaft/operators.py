@@ -314,6 +314,7 @@ class DiagSpec:
             )
         if self.trace_sign not in (1, -1):
             raise ConstructionError("trace_sign must be +1 or -1")
+        check_magnitude(self.alphas, "alphas", ConstructionError, real=True)
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) != self.dim:
             raise ConstructionError(

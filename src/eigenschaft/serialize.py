@@ -7,20 +7,20 @@ wrong-length entry arrays, non-numeric components, non-finite or
 out-of-range numbers, and malformed structure all raise
 :class:`SerializationError` (the CLI reports it as malformed input, exit 2).
 
-Output is deterministic and byte-identical to ``json.dumps(payload,
-indent=2)`` plus a trailing newline: keys are emitted in a fixed order and
-floats use the shortest round-trip representation, so identical inputs
-produce byte-identical payloads.  ``float.__repr__`` is the only float
-formatter, and most of the writer's time: each matrix or state is written
-by one ``repr`` pass over its numbers and a few joins.  Each matrix's text
-is one string in the output list until :func:`dumps` joins the list, so a
-payload's peak memory is about twice its text plus one matrix's transient
-strings.  A matrix is read by one ``np.fromiter`` over its numbers.
+The writer takes payloads only: objects with string keys, lists, strings,
+integers, finite floats, booleans and ``None``.  Its output is
+byte-identical to ``json.dumps(payload, indent=2, allow_nan=False)`` plus
+a trailing newline; a non-string key raises ``TypeError`` and a non-finite
+float ``ValueError``.  ``float.__repr__`` is the only float formatter, and
+most of the writer's time: each matrix or state is written by one ``repr``
+pass over its numbers and a few joins.  Each matrix's text is one string
+in the output list until :func:`dumps` joins the list, so a payload's peak
+memory is about twice its text plus one matrix's transient strings.  A
+matrix is read by one ``np.fromiter`` over its numbers.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from itertools import chain
 
@@ -40,17 +40,19 @@ from .states import Classification, Decomposition, StateVector
 _INDENT = "  "
 _NUMBER_TYPES = {int, float}
 _encode_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = "Out of range float values are not JSON compliant: "
 
 
 def dumps(payload) -> str:
     """Stable JSON text: two-space indent, fixed key order, trailing newline.
 
-    The text equals ``json.dumps(payload, indent=2) + "\\n"``.  With an
-    indent, :mod:`json` falls back to its pure-Python encoder, which makes
-    one generator step per number; here each list of float rows (matrix
-    entries, amplitudes) is written by :func:`_emit_number_rows` in one
-    ``float.__repr__`` pass and a few joins, and everything else is laid
-    out directly.
+    The text equals ``json.dumps(payload, indent=2, allow_nan=False) +
+    "\\n"``, and a non-finite float raises ``ValueError`` as there; a key
+    that is not a string raises ``TypeError``.  With an indent, :mod:`json`
+    falls back to its pure-Python encoder, which makes one generator step
+    per number; here each list of float rows (matrix entries, amplitudes)
+    is written by :func:`_emit_number_rows` in one ``float.__repr__`` pass
+    and a few joins, and everything else is laid out directly.
     """
     out: list[str] = []
     _emit(payload, 0, out)
@@ -59,27 +61,16 @@ def dumps(payload) -> str:
 
 
 def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    if "n" in text:
+        raise ValueError(_NON_FINITE + text)
+    return text
 
 
 def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_text(key))
-    if key is True or key is False or key is None:
-        return _encode_str(json.dumps(key))
-    if isinstance(key, int):
-        return _encode_str(int.__repr__(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+    return _encode_str(key)
 
 
 def _emit(o, level: int, out: list[str]) -> None:
@@ -139,10 +130,10 @@ def _emit_number_rows(items, level: int, out: list[str]) -> bool:
     other list, which the generic path then writes.
 
     One ``float.__repr__`` pass covers every number.  Its ``TypeError``
-    sends ints, bools, None, strings and nested lists to the generic path,
-    and so does a ``"n"`` in the text (``nan``, ``inf``), which json spells
-    ``NaN`` and ``Infinity``.  The text is appended as three pieces, with
-    no second copy of the body.  The per-number and per-row strings live
+    sends ints, bools, None, strings and nested lists to the generic path.
+    A ``"n"`` in the text (``nan``, ``inf``) raises ``ValueError``, as a
+    non-finite float does anywhere in a payload.  The text is appended as
+    three pieces, with no second copy of the body.  The per-number and per-row strings live
     only during the call: about 165 bytes a number at peak against the
     body's 37 for an n=64 matrix (``tracemalloc``).
     """
@@ -161,7 +152,7 @@ def _emit_number_rows(items, level: int, out: list[str]) -> bool:
     rows = map(("," + num).join, zip(*[iter(texts)] * widths.pop()))
     body = (row + "]," + row + "[" + num).join(rows)
     if "n" in body:
-        return False
+        raise ValueError(_NON_FINITE + next(t for t in texts if "n" in t))
     out.append("[" + row + "[" + num)
     out.append(body)
     out.append(row + "]" + outer + "]")
@@ -338,11 +329,12 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 
 def classification_to_dict(c: Classification) -> dict:
-    return dataclasses.asdict(c)
+    return dict(vars(c))
 
 
 def holographic_report_to_dict(report: HolographicReport) -> dict:
-    return dataclasses.asdict(report)
+    """One object per report field; every field is a flat dataclass."""
+    return {name: dict(vars(part)) for name, part in vars(report).items()}
 
 
 def beat_trace_csv(samples: list[BeatSample]) -> str:

@@ -179,6 +179,9 @@ DOORS = {
     "DiagSpec": ("phases", ConstructionError, False,
                  lambda x: DiagSpec(dim=3, alphas=(1 / 3,) * 3, trace_sign=1,
                                     phases=(0.0, x))),
+    "DiagSpec-alphas": ("alphas", ConstructionError, False,
+                        lambda x: DiagSpec(dim=3, alphas=(1 / 3, 1 / 3, x),
+                                           trace_sign=1, phases=(0.0, 0.0))),
     "sweep-phases": ("sweep phases", DomainError, False,
                      lambda x: InterferometerConfig(hadamard(), [0.0, x])),
     "sigma": ("shot noise sigma", DomainError, False,
