@@ -81,4 +81,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -15,6 +15,8 @@ an unchecked spectrum.  It serves the positivity gate of
 
 Every number the package takes is finite and at most ``MAX_MAGNITUDE`` in
 magnitude; ``check_magnitude`` is that one rule, applied where input enters.
+Before it, ``as_numeric`` refuses input that is not numbers at all (strings,
+``None``, other objects), in the door's own terms.
 A sum of up to ``1e100`` products of two such numbers stays finite, so the
 arithmetic after the check cannot overflow.
 """
@@ -40,6 +42,20 @@ TOL_INV = 1e-10
 MAX_MAGNITUDE = 1e100
 
 
+def as_numeric(a, noun: str, error=DomainError) -> np.ndarray:
+    """``np.asarray(a)``, refused with ``error`` as ``{noun} must be
+    numeric`` unless its dtype is boolean, integer, real or complex.
+
+    Strings, ``None`` and other objects are refused here, before any cast
+    to float or complex could read ``"0.5"`` as a number or fail with
+    numpy's own error.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "biufc":
+        raise error(f"{noun} must be numeric")
+    return a
+
+
 def check_magnitude(a, noun: str, error=DomainError, real: bool = False) -> None:
     """Raise ``error`` unless every entry of ``a`` is finite and at most
     ``MAX_MAGNITUDE`` in (complex) magnitude; the message names ``noun``.
@@ -47,9 +63,10 @@ def check_magnitude(a, noun: str, error=DomainError, real: bool = False) -> None
     A door that takes real numbers passes ``real=True`` and calls this
     before it converts ``a`` to float, which would drop an imaginary part:
     ``a`` of a complex type is then refused first, as ``{noun} must be
-    real``, whatever its imaginary part.
+    real``, whatever its imaginary part.  Non-numeric ``a`` is refused
+    before both, by :func:`as_numeric`.
     """
-    a = np.asarray(a)
+    a = as_numeric(a, noun, error)
     if real and np.iscomplexobj(a):
         raise error(f"{noun} must be real")
     if not np.abs(a).max(initial=0.0) <= MAX_MAGNITUDE:
@@ -61,7 +78,7 @@ def check_magnitude(a, noun: str, error=DomainError, real: bool = False) -> None
 def as_square(a) -> np.ndarray:
     """Coerce ``a`` to a non-empty square complex matrix with entries
     within ``MAX_MAGNITUDE``."""
-    m = np.asarray(a, dtype=complex)
+    m = as_numeric(a, "matrix entries").astype(complex, copy=False)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size == 0:

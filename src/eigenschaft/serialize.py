@@ -7,16 +7,23 @@ wrong-length entry arrays, non-numeric components, non-finite or
 out-of-range numbers, and malformed structure all raise
 :class:`SerializationError` (the CLI reports it as malformed input, exit 2).
 
+In a payload built here, ``"entries"`` and ``"amplitudes"`` are read-only
+``(k, 2)`` float64 arrays: views of the matrix or state, not nested lists.
+:func:`dumps` writes such an array as k ``[re, im]`` rows, and
+``json.loads(dumps(p))`` gives the plain JSON objects the readers take.
+
 The writer takes payloads only: objects with string keys, lists, strings,
-integers, finite floats, booleans and ``None``.  Its output is
-byte-identical to ``json.dumps(payload, indent=2, allow_nan=False)`` plus
-a trailing newline; a non-string key raises ``TypeError`` and a non-finite
-float ``ValueError``.  ``float.__repr__`` is the only float formatter, and
-most of the writer's time: each matrix or state is written by one ``repr``
-pass over its numbers and a few joins.  Each matrix's text is one string
-in the output list until :func:`dumps` joins the list, so a payload's peak
-memory is about twice its text plus one matrix's transient strings.  A
-matrix is read by one ``np.fromiter`` over its numbers.
+integers, finite floats, booleans, ``None`` and non-empty 2-d float64
+arrays.  Its output is byte-identical to ``json.dumps(payload, indent=2,
+allow_nan=False, default=np.ndarray.tolist)`` plus a trailing newline; a
+non-string key raises ``TypeError`` and a non-finite float ``ValueError``.
+``float.__repr__`` is the only float formatter, and most of the writer's
+time.  Every matrix the package writes is Hermitian, so entry (j, i)
+repeats the magnitudes of entry (i, j): an array's text is built from the
+``repr`` of each distinct magnitude, found by one argsort, with ``"-"`` in
+front of each number whose sign bit is set.  Each array's text is one
+string in the output list until :func:`dumps` joins the list.  A matrix is
+read by one ``np.fromiter`` over its numbers.
 """
 
 from __future__ import annotations
@@ -41,18 +48,19 @@ _INDENT = "  "
 _NUMBER_TYPES = {int, float}
 _encode_str = json.encoder.encode_basestring_ascii
 _NON_FINITE = "Out of range float values are not JSON compliant: "
+_LARGEST = float(np.finfo(float).max)
 
 
 def dumps(payload) -> str:
     """Stable JSON text: two-space indent, fixed key order, trailing newline.
 
-    The text equals ``json.dumps(payload, indent=2, allow_nan=False) +
-    "\\n"``, and a non-finite float raises ``ValueError`` as there; a key
-    that is not a string raises ``TypeError``.  With an indent, :mod:`json`
-    falls back to its pure-Python encoder, which makes one generator step
-    per number; here each list of float rows (matrix entries, amplitudes)
-    is written by :func:`_emit_number_rows` in one ``float.__repr__`` pass
-    and a few joins, and everything else is laid out directly.
+    The text equals ``json.dumps(payload, indent=2, allow_nan=False,
+    default=np.ndarray.tolist) + "\\n"``, and a non-finite float raises
+    ``ValueError`` as there; a key that is not a string raises
+    ``TypeError``.  With an indent, :mod:`json` falls back to its
+    pure-Python encoder, which makes one generator step per number; here
+    each array (matrix entries, amplitudes) is written by
+    :func:`_emit_array` and everything else is laid out directly.
     """
     out: list[str] = []
     _emit(payload, 0, out)
@@ -90,6 +98,8 @@ def _emit(o, level: int, out: list[str]) -> None:
         _emit_list(o, level, out)
     elif isinstance(o, dict):
         _emit_dict(o, level, out)
+    elif isinstance(o, np.ndarray):
+        _emit_array(o, level, out)
     else:
         raise TypeError(
             f"Object of type {o.__class__.__name__} is not JSON serializable"
@@ -99,8 +109,6 @@ def _emit(o, level: int, out: list[str]) -> None:
 def _emit_list(items, level: int, out: list[str]) -> None:
     if not items:
         out.append("[]")
-        return
-    if _emit_number_rows(items, level, out):
         return
     inner = "\n" + _INDENT * (level + 1)
     sep = "[" + inner
@@ -124,39 +132,44 @@ def _emit_dict(d, level: int, out: list[str]) -> None:
     out.append("\n" + _INDENT * level + "}")
 
 
-def _emit_number_rows(items, level: int, out: list[str]) -> bool:
-    """Append the indented text of a list of equal-length, non-empty lists
-    of floats and return True; return False, appending nothing, for any
-    other list, which the generic path then writes.
+def _emit_array(a: np.ndarray, level: int, out: list[str]) -> None:
+    """Append the text of ``a.tolist()`` for a non-empty 2-d float64
+    array ``a``; any other array raises ``TypeError``.
 
-    One ``float.__repr__`` pass covers every number.  Its ``TypeError``
-    sends ints, bools, None, strings and nested lists to the generic path.
-    A ``"n"`` in the text (``nan``, ``inf``) raises ``ValueError``, as a
-    non-finite float does anywhere in a payload.  The text is appended as
-    three pieces, with no second copy of the body.  The per-number and per-row strings live
-    only during the call: about 165 bytes a number at peak against the
-    body's 37 for an n=64 matrix (``tracemalloc``).
+    The text of a float ``x`` is ``"-"`` when its sign bit is set, followed
+    by ``repr(abs(x))``: ``repr`` itself for every finite float, ``-0.0``
+    included.  So one argsort of the magnitudes finds the distinct ones,
+    each is formatted once, and every number takes its magnitude's text.
+    A nan or an infinity sorts last; it raises ``ValueError`` naming the
+    first non-finite number in row-major order.  The text is appended as
+    three pieces, with no second copy of the body.
     """
-    if set(map(type, items)) != {list}:
-        return False
-    widths = set(map(len, items))
-    if len(widths) != 1 or 0 in widths:
-        return False
-    try:
-        texts = list(map(float.__repr__, chain.from_iterable(items)))
-    except TypeError:
-        return False
+    if a.ndim != 2 or a.dtype != np.float64 or not a.size:
+        raise TypeError(f"an array payload is 2-d float64 and not empty, "
+                        f"not {a.dtype} of shape {a.shape}")
+    flat = a.ravel()
+    magnitudes = np.abs(flat)
+    order = magnitudes.argsort()
+    ranked = magnitudes[order]
+    if not ranked[-1] <= _LARGEST:
+        bad = flat[~np.isfinite(flat)][0]
+        raise ValueError(_NON_FINITE + float.__repr__(float(bad)))
+    first = np.empty(ranked.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    texts = list(map(float.__repr__, ranked[first].tolist()))
+    first[0] = False  # cumsum then numbers the groups from 0
+    slot = np.empty(ranked.size, dtype=np.intp)
+    slot[order] = first.cumsum()
+    slot += np.signbit(flat) * len(texts)
+    numbers = map((texts + ["-" + t for t in texts]).__getitem__, slot.tolist())
     outer = "\n" + _INDENT * level
     row = outer + _INDENT
     num = row + _INDENT
-    rows = map(("," + num).join, zip(*[iter(texts)] * widths.pop()))
-    body = (row + "]," + row + "[" + num).join(rows)
-    if "n" in body:
-        raise ValueError(_NON_FINITE + next(t for t in texts if "n" in t))
+    rows = map(("," + num).join, zip(*[numbers] * a.shape[1]))
     out.append("[" + row + "[" + num)
-    out.append(body)
+    out.append((row + "]," + row + "[" + num).join(rows))
     out.append(row + "]" + outer + "]")
-    return True
 
 
 def _require_dict(d, what: str) -> dict:
@@ -218,9 +231,14 @@ def _scan_pairs(raw: list, what: str) -> np.ndarray:
     return values
 
 
-def _complex_to_pairs(values) -> list[list[float]]:
+def _complex_to_pairs(values) -> np.ndarray:
+    """The read-only ``(k, 2)`` float64 view of ``values`` as [re, im] rows,
+    in row-major order; it shares memory with ``values`` when that is a
+    contiguous complex array."""
     flat = np.asarray(values, dtype=complex).ravel()
-    return flat.view(float).reshape(-1, 2).tolist()
+    pairs = flat.view(float).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def matrix_to_dict(m) -> dict:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .linalg import (
     as_hermitian,
+    as_numeric,
     as_square,
     check_magnitude,
     freeze_fields,
@@ -33,7 +34,7 @@ PSD_FLOOR = -1e-10
 
 
 def _as_amplitudes(values) -> np.ndarray:
-    amp = np.asarray(values, dtype=complex)
+    amp = as_numeric(values, "amplitudes").astype(complex, copy=False)
     if amp.ndim != 1 or amp.size == 0:
         raise ShapeError("amplitudes must form a non-empty 1-d sequence")
     check_magnitude(amp, "amplitudes")

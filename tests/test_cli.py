@@ -175,7 +175,7 @@ def _near_hadamard(tmp_path) -> str:
     m[0, 1] += 1e-7
     m[1, 0] += 1e-7
     f = tmp_path / "near.json"
-    f.write_text(json.dumps(matrix_to_dict(m)))
+    f.write_text(json.dumps(matrix_to_dict(m), default=np.ndarray.tolist))
     return str(f)
 
 
@@ -189,7 +189,8 @@ class TestValidate:
     def test_report_schema(self, capsys, tmp_path, name):
         # Exact key order, JSON types and values of the report.
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(matrix_to_dict(_validate_inputs()[name])))
+        f.write_text(json.dumps(matrix_to_dict(_validate_inputs()[name]),
+                                default=np.ndarray.tolist))
         code, out, _ = run_cli(capsys, "validate", str(f))
         assert code == 0
         report = validate(matrix_from_dict(json.loads(f.read_text())))

@@ -251,6 +251,17 @@ class TestDoors:
         assert str(exc.value) == f"{noun} must be real"
 
     @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("x", ["0.5", None], ids=["string", "None"])
+    def test_door_refuses_non_numbers(self, door, x):
+        """A cast to float or complex would read "0.5" as a number or fail
+        with numpy's error; the door refuses both in its own terms."""
+        noun, error, _, call = DOORS[door]
+        with pytest.raises(error) as exc:
+            call(x)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{noun} must be numeric"
+
+    @pytest.mark.parametrize("door", DOORS)
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_refuses_exactly_outside_the_bound(self, door, data):

@@ -16,7 +16,7 @@ from eigenschaft.interferometer import (
     holographic_report,
     uniform_sweep,
 )
-from eigenschaft.linalg import max_abs
+from eigenschaft.linalg import MAX_MAGNITUDE, max_abs
 from eigenschaft.operators import (
     EigenschaftOp,
     ProjectorSet,
@@ -35,14 +35,19 @@ from eigenschaft.states import (
 from helpers import haar_unitary, random_hermitian, random_involution, random_state
 
 
+def _wire(payload):
+    """The payload as a reader gets it: written by ``dumps``, parsed back."""
+    return json.loads(serialize.dumps(payload))
+
+
 class TestMatrixFormat:
     def test_roundtrip(self):
         m = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -1.0]])
-        back = serialize.matrix_from_dict(serialize.matrix_to_dict(m))
+        back = serialize.matrix_from_dict(_wire(serialize.matrix_to_dict(m)))
         assert np.array_equal(back, m)
 
     def test_row_major_order(self):
-        d = serialize.matrix_to_dict(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        d = _wire(serialize.matrix_to_dict(np.array([[1.0, 2.0], [3.0, 4.0]])))
         assert d["entries"] == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]
 
     def test_rejects_wrong_length(self):
@@ -77,7 +82,7 @@ class TestMatrixFormat:
 class TestStateFormat:
     def test_roundtrip(self):
         state = StateVector(np.array([0.6, 0.8j]))
-        back = serialize.state_from_dict(serialize.state_to_dict(state))
+        back = serialize.state_from_dict(_wire(serialize.state_to_dict(state)))
         assert np.array_equal(back.amplitudes, state.amplitudes)
 
     def test_rejects_wrong_length(self):
@@ -88,32 +93,33 @@ class TestStateFormat:
 class TestOperatorFormat:
     def test_roundtrip_carries_trace_class(self):
         op = EigenschaftOp.from_matrix(np.diag([1.0, -1.0, 1.0]))
-        d = serialize.op_to_dict(op)
+        d = _wire(serialize.op_to_dict(op))
         assert d["trace_class"] == 1
         back = serialize.op_from_dict(d)
         assert back.trace_class == 1
         assert max_abs(back.matrix - op.matrix) == 0.0
 
     def test_missing_trace_class_is_inferred(self):
-        d = serialize.matrix_to_dict(hadamard().matrix)
+        d = _wire(serialize.matrix_to_dict(hadamard().matrix))
         assert serialize.op_from_dict(d).trace_class == 0
 
     def test_mismatched_trace_class_rejected(self):
-        d = serialize.op_to_dict(hadamard())
+        d = _wire(serialize.op_to_dict(hadamard()))
         d["trace_class"] = 2
         with pytest.raises(SerializationError, match="trace_class"):
             serialize.op_from_dict(d)
 
     @pytest.mark.parametrize("declared", [1.5, "1"])
     def test_non_integer_trace_class_rejected(self, declared):
-        d = serialize.op_to_dict(EigenschaftOp.from_matrix(np.diag([1.0, -1.0, 1.0])))
+        d = _wire(serialize.op_to_dict(
+            EigenschaftOp.from_matrix(np.diag([1.0, -1.0, 1.0]))))
         d["trace_class"] = declared
         with pytest.raises(SerializationError,
                            match="^'trace_class' must be an integer$"):
             serialize.op_from_dict(d)
 
     def test_near_involution_is_refused(self):
-        d = serialize.matrix_to_dict(np.diag([1.0 + 1e-7, -1.0 - 1e-7]))
+        d = _wire(serialize.matrix_to_dict(np.diag([1.0 + 1e-7, -1.0 - 1e-7])))
         with pytest.raises(DomainError, match="not an involution"):
             serialize.op_from_dict(d)
 
@@ -125,7 +131,7 @@ class TestProjectorSetFormat:
                 random_involution(3, np.random.default_rng(70))
             )
         )
-        d = serialize.projector_set_to_dict(pd.projectors)
+        d = _wire(serialize.projector_set_to_dict(pd.projectors))
         back = serialize.projector_set_from_dict(d)
         for a, b in zip(back.projectors, pd.projectors.projectors):
             assert max_abs(a - b) == 0.0
@@ -218,26 +224,30 @@ FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _oracle(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False,
+                      default=np.ndarray.tolist) + "\n"
 
 
 def _plant_negative_zeros(payload):
-    """Put -0.0, in place, into a real and an imaginary part of every list
-    of [re, im] pairs and into the first float value of every object."""
+    """Put -0.0 into a real and an imaginary part of every array of
+    [re, im] rows, by replacing the read-only array with a planted copy,
+    and into the first float value of every object."""
     if isinstance(payload, dict):
         for key, value in payload.items():
             if isinstance(value, float):
                 payload[key] = -0.0
                 break
-        for value in payload.values():
-            _plant_negative_zeros(value)
+        for key, value in payload.items():
+            if isinstance(value, np.ndarray):
+                planted = value.copy()
+                planted[0, 1] = -0.0
+                planted[-1, 0] = -0.0
+                payload[key] = planted
+            else:
+                _plant_negative_zeros(value)
     elif isinstance(payload, list):
-        if payload and all(isinstance(p, list) and len(p) == 2 for p in payload):
-            payload[0][1] = -0.0
-            payload[-1][0] = -0.0
-        else:
-            for item in payload:
-                _plant_negative_zeros(item)
+        for item in payload:
+            _plant_negative_zeros(item)
 
 
 def _cli_payloads(n: int) -> dict:
@@ -284,6 +294,8 @@ class TestDumpsByteIdentity:
         values[0] = complex(0.5, -0.0)
         values[-1] = complex(-0.0, 1e300)
         payload = {"dim": count, "amplitudes": serialize._complex_to_pairs(values)}
+        assert serialize.dumps(payload) == _oracle(payload)
+        payload["amplitudes"] = payload["amplitudes"].tolist()  # the list path
         assert serialize.dumps(payload) == _oracle(payload)
         payload["amplitudes"][-1] = []  # an empty last row
         assert serialize.dumps(payload) == _oracle(payload)
@@ -370,6 +382,61 @@ class TestDumpsByteIdentity:
         assert serialize.dumps(payload) == _oracle(payload)
 
 
+#: Edge magnitudes of the array writer: both zeros, the smallest subnormal,
+#: the package's bound and the largest float.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, MAX_MAGNITUDE, -MAX_MAGNITUDE,
+               1.7976931348623157e308]
+
+
+@st.composite
+def pair_arrays(draw):
+    """(k, 2) float64 arrays whose numbers come from a small pool, each
+    taken with either sign, so that magnitudes repeat with both signs."""
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | FINITE_FLOATS,
+                         min_size=1, max_size=6))
+    k = draw(st.integers(1, 12))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                          min_size=2 * k, max_size=2 * k))
+    return np.array([-x if flip else x for x, flip in picks]).reshape(k, 2)
+
+
+class TestArrayWriter:
+    """``dumps`` formats each distinct magnitude of an array once; the text
+    must still be the standard library's, number by number."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_arrays())
+    def test_matches_the_stdlib(self, a):
+        for payload in (a, {"dim": len(a), "entries": a},
+                        {"members": [{"amplitudes": a, "trace_class": 0}]}):
+            assert serialize.dumps(payload) == _oracle(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_arrays(), st.data())
+    def test_first_non_finite_is_named(self, a, data):
+        flat = a.ravel()
+        spots = data.draw(st.lists(st.integers(0, flat.size - 1), min_size=1,
+                                   max_size=3, unique=True))
+        for spot in spots:
+            flat[spot] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        first = next(x for x in flat.tolist() if not math.isfinite(x))
+        with pytest.raises(ValueError) as want:
+            _oracle(a)
+        with pytest.raises(ValueError) as got:
+            serialize.dumps({"entries": a})
+        assert str(got.value) == str(want.value) == (
+            "Out of range float values are not JSON compliant: " + repr(first)
+        )
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((2, 2), dtype=complex), np.zeros(4), np.zeros((1, 2, 2)),
+        np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((2, 2), dtype=int),
+    ], ids=["complex", "1-d", "3-d", "no-columns", "no-rows", "int"])
+    def test_other_arrays_are_refused(self, a):
+        with pytest.raises(TypeError, match="^an array payload is 2-d float64"):
+            serialize.dumps({"entries": a})
+
+
 class TestReaderBitExactness:
     @pytest.mark.parametrize("n", WIRE_DIMS)
     def test_matrix_roundtrip_keeps_signed_zeros(self, n):
@@ -416,10 +483,18 @@ class TestReaderBitExactness:
         pairs = serialize.matrix_to_dict(
             np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [1.0, 2j]])
         )["entries"]
-        assert [[math.copysign(1.0, x) for x in p] for p in pairs[:2]] == [
-            [-1.0, 1.0], [1.0, -1.0]
-        ]
-        assert all(type(x) is float for p in pairs for x in p)
+        assert np.array_equal(np.signbit(pairs[:2]), [[True, False], [False, True]])
+        assert pairs.dtype == np.float64 and pairs.shape == (4, 2)
+
+    def test_pairs_are_a_read_only_view(self):
+        op = hadamard()
+        pairs = serialize.op_to_dict(op)["entries"]
+        assert np.shares_memory(pairs, op.matrix)
+        m = np.eye(2, dtype=complex)
+        pairs = serialize.matrix_to_dict(m)["entries"]
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0, 0] = 2.0
+        assert np.array_equal(m, np.eye(2))
 
 
 GOOD = [0.5, -0.25]
