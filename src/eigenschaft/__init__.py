@@ -81,4 +81,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import check_magnitude
+from .linalg import as_real
 from .operators import EigenschaftOp, h2_elements, wrap_phase
 
 
@@ -27,7 +27,7 @@ class TwoLevelSystem:
     h2: EigenschaftOp
 
     def __post_init__(self):
-        check_magnitude([self.omega1, self.omega2], "frequencies", real=True)
+        as_real([self.omega1, self.omega2], "frequencies")
         if self.h2.dim != 2:
             raise ShapeError("two-level evolution needs a dimension-2 operator")
 
@@ -47,7 +47,7 @@ def evolve_h2(sys: TwoLevelSystem, t: float) -> EigenschaftOp:
     The diagonal (and with it the spectrum) is unchanged; the off-diagonal
     magnitude is preserved, so the result is again a valid involution.
     """
-    check_magnitude(t, "time", real=True)
+    as_real(t, "time")
     m = np.array(sys.h2.matrix, dtype=complex)
     m[0, 1] = m[0, 1] * np.exp(1j * sys.detuning * t)
     m[1, 0] = np.conj(m[0, 1])
@@ -60,9 +60,7 @@ def beat_trace(sys: TwoLevelSystem, t_samples: Iterable[float]) -> list[BeatSamp
     The phase winds linearly at the detuning frequency from the operator's
     initial off-diagonal phase.
     """
-    times = np.asarray(list(t_samples))
-    check_magnitude(times, "time samples", real=True)
-    times = times.astype(float)
+    times = as_real(list(t_samples), "time samples")
     phases = wrap_phase(h2_elements(sys.h2).delta_phi + sys.detuning * times)
     return [BeatSample(t=t, delta_phi=p)
             for t, p in zip(times.tolist(), phases.tolist())]

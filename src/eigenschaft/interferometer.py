@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
-from .linalg import MAX_MAGNITUDE, TOL_INV, check_magnitude, freeze_fields
+from .linalg import MAX_MAGNITUDE, TOL_INV, as_real, freeze_fields
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
@@ -46,12 +46,10 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.splitter.dim != 2:
             raise ShapeError("splitter must be a dimension-2 operator")
-        check_magnitude(self.sweep_phases, "sweep phases", real=True)
-        phases = np.asarray(self.sweep_phases, dtype=float).reshape(-1)
+        phases = as_real(self.sweep_phases, "sweep phases").reshape(-1)
         if phases.size == 0:
             raise DomainError("phase sweep must be non-empty")
-        check_magnitude(self.shot_noise_sigma, "shot noise sigma", real=True)
-        sigma = float(self.shot_noise_sigma)
+        sigma = float(as_real(self.shot_noise_sigma, "shot noise sigma"))
         if sigma < 0.0:
             raise DomainError("shot noise sigma must be nonnegative")
         freeze_fields(self, sweep_phases=phases, shot_noise_sigma=sigma)
@@ -83,12 +81,10 @@ class FringeRecord:
     intensity_port2: np.ndarray
 
     def __post_init__(self):
-        for name, arr in (("phases", self.phases), ("I1", self.intensity_port1),
-                          ("I2", self.intensity_port2)):
-            check_magnitude(arr, name, real=True)
-        phases = np.asarray(self.phases, dtype=float).reshape(-1)
-        i1 = np.asarray(self.intensity_port1, dtype=float).reshape(-1)
-        i2 = np.asarray(self.intensity_port2, dtype=float).reshape(-1)
+        phases, i1, i2 = (
+            as_real(arr, name).reshape(-1)
+            for name, arr in (("phases", self.phases), ("I1", self.intensity_port1),
+                              ("I2", self.intensity_port2)))
         if not (phases.size == i1.size == i2.size) or phases.size == 0:
             raise ShapeError("phases and intensities must have equal nonzero length")
         if np.any(i1 < 0.0) or np.any(i2 < 0.0):
@@ -148,8 +144,8 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     For each sweep phase the second component is advanced by ``exp(i phi)``
     and the splitter applied; intensities are squared moduli plus optional
     additive Gaussian noise (clamped to ``[0, MAX_MAGNITUDE]``).  Fully
-    deterministic for a given seed; with noise on, a negative seed raises
-    ``DomainError``.
+    deterministic for a given seed; with noise on, a seed that is not a
+    nonnegative integer raises ``DomainError``.
     """
     if state.dim != 2:
         raise ShapeError("interferometer input must be a two-component state")
@@ -162,7 +158,7 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     i1 = np.abs(out1) ** 2
     i2 = np.abs(out2) ** 2
     if cfg.shot_noise_sigma > 0.0:
-        if rng_seed < 0:
+        if not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
             raise DomainError(
                 f"noise seed must be a nonnegative integer, got {rng_seed!r}"
             )

@@ -14,11 +14,12 @@ an unchecked spectrum.  It serves the positivity gate of
 ``operators.to_projectors``.
 
 Every number the package takes is finite and at most ``MAX_MAGNITUDE`` in
-magnitude; ``check_magnitude`` is that one rule, applied where input enters.
-Before it, ``as_numeric`` refuses input that is not numbers at all (strings,
-``None``, other objects), in the door's own terms.
-A sum of up to ``1e100`` products of two such numbers stays finite, so the
-arithmetic after the check cannot overflow.
+magnitude; ``check_magnitude`` is that one rule, compared in float64 where
+input enters.  Before it, ``as_numeric`` refuses non-numbers (strings,
+``None``, other objects) in the door's own terms.  A real-number door makes
+one call, ``as_real``, which also refuses complex numbers and returns the
+float64 array it admitted.  A sum of up to ``1e100`` products of two such
+numbers stays finite, so the arithmetic after the check cannot overflow.
 """
 
 from __future__ import annotations
@@ -56,23 +57,30 @@ def as_numeric(a, noun: str, error=DomainError) -> np.ndarray:
     return a
 
 
-def check_magnitude(a, noun: str, error=DomainError, real: bool = False) -> None:
+def check_magnitude(a, noun: str, error=DomainError) -> None:
     """Raise ``error`` unless every entry of ``a`` is finite and at most
     ``MAX_MAGNITUDE`` in (complex) magnitude; the message names ``noun``.
 
-    A door that takes real numbers passes ``real=True`` and calls this
-    before it converts ``a`` to float, which would drop an imaginary part:
-    ``a`` of a complex type is then refused first, as ``{noun} must be
-    real``, whatever its imaginary part.  Non-numeric ``a`` is refused
-    before both, by :func:`as_numeric`.
+    Non-numeric ``a`` is refused first, by :func:`as_numeric`.  The largest
+    magnitude is compared as a float64: the bound overflows a float32.
     """
     a = as_numeric(a, noun, error)
-    if real and np.iscomplexobj(a):
-        raise error(f"{noun} must be real")
-    if not np.abs(a).max(initial=0.0) <= MAX_MAGNITUDE:
+    if not float(np.abs(a).max(initial=0.0)) <= MAX_MAGNITUDE:
         raise error(
             f"{noun} must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
         )
+
+
+def as_real(a, noun: str, error=DomainError) -> np.ndarray:
+    """``a`` as a float64 array, once :func:`as_numeric` admits it, its
+    dtype is not complex (else ``{noun} must be real``: a cast would drop the
+    imaginary part) and :func:`check_magnitude` passes.  The cast comes last,
+    so a longdouble past float64's range is refused, not cast to inf."""
+    a = as_numeric(a, noun, error)
+    if a.dtype.kind == "c":
+        raise error(f"{noun} must be real")
+    check_magnitude(a, noun, error)
+    return a.astype(float, copy=False)
 
 
 def as_square(a) -> np.ndarray:

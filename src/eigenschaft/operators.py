@@ -24,6 +24,7 @@ of the independent ones (not merely differences modulo pi).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,8 +35,8 @@ from .linalg import (
     TOL_HERM,
     TOL_INV,
     as_hermitian,
+    as_real,
     as_square,
-    check_magnitude,
     freeze_fields,
     hermitian_eig,
     hermiticity_residual,
@@ -221,6 +222,8 @@ class ProjectorSet:
 
     @classmethod
     def standard_basis(cls, dim: int) -> "ProjectorSet":
+        if not isinstance(dim, numbers.Integral):
+            raise DomainError(f"dim must be an integer, got {dim!r}")
         return cls.from_columns(np.eye(dim, dtype=complex))
 
 
@@ -244,7 +247,7 @@ class H2Params:
     delta_phi: float
 
     def __post_init__(self):
-        check_magnitude([self.gamma_angle, self.delta_phi], "angles", real=True)
+        as_real([self.gamma_angle, self.delta_phi], "angles")
 
 
 class H2Elements(NamedTuple):
@@ -314,12 +317,11 @@ class DiagSpec:
             )
         if self.trace_sign not in (1, -1):
             raise ConstructionError("trace_sign must be +1 or -1")
-        check_magnitude(self.alphas, "alphas", ConstructionError, real=True)
-        alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) != self.dim:
-            raise ConstructionError(
-                f"need {self.dim} diagonal entries, got {len(alphas)}"
-            )
+        alphas = as_real(self.alphas, "alphas", ConstructionError)
+        if alphas.shape != (self.dim,):
+            raise ConstructionError(f"need {self.dim} diagonal entries, "
+                                    f"got {len(np.atleast_1d(alphas))}")
+        alphas = tuple(alphas.tolist())
         for i, a in enumerate(alphas):
             if not abs(a) <= 1.0:
                 raise ConstructionError(f"|alpha_{i + 1}| <= 1 violated (got {a!r})")
@@ -331,14 +333,11 @@ class DiagSpec:
                 f"{1 if self.dim == 3 else 2} = {target:g} (got {total!r})"
             )
         n_free = 2 if self.dim == 3 else 3
-        check_magnitude(self.phases, "phases", ConstructionError, real=True)
-        phases = tuple(float(p) for p in self.phases)
-        if len(phases) != n_free:
-            raise ConstructionError(
-                f"dimension {self.dim} takes {n_free} free phases, "
-                f"got {len(phases)}"
-            )
-        freeze_fields(self, alphas=alphas, phases=phases,
+        phases = as_real(self.phases, "phases", ConstructionError)
+        if phases.shape != (n_free,):
+            raise ConstructionError(f"dimension {self.dim} takes {n_free} free "
+                                    f"phases, got {len(np.atleast_1d(phases))}")
+        freeze_fields(self, alphas=alphas, phases=tuple(phases.tolist()),
                       trace_sign=int(self.trace_sign), dim=int(self.dim))
 
 

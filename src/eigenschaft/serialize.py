@@ -29,6 +29,7 @@ read by one ``np.fromiter`` over its numbers.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -186,17 +187,17 @@ def _require_dim(d, what: str) -> int:
 
 
 def _pairs_to_complex(raw, count: int, what: str) -> np.ndarray:
+    """The values of ``raw``: ``count`` lists of two finite ints or floats
+    (subclasses such as ``np.float64`` included, ``bool`` not), read in one
+    pass; otherwise the error names the first entry that is not."""
     if not isinstance(raw, list):
         raise SerializationError(f"{what} must be a list of [re, im] pairs")
     if len(raw) != count:
         raise SerializationError(
             f"{what} has {len(raw)} entries, expected {count}"
         )
-    # Bulk checks on exact types first.  Anything else, a bad entry or a
-    # valid but unusual one such as a float subclass, takes the scan, which
-    # names the first bad entry.
-    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
-            and set(map(type, chain.from_iterable(raw))) <= _NUMBER_TYPES):
+    if (_all_of(set(map(type, raw)), {list}) and set(map(len, raw)) <= {2}
+            and _all_of(set(map(type, chain.from_iterable(raw))), _NUMBER_TYPES)):
         try:
             pairs = np.fromiter(chain.from_iterable(raw), float, 2 * count)
         except OverflowError:
@@ -204,31 +205,24 @@ def _pairs_to_complex(raw, count: int, what: str) -> np.ndarray:
         if pairs is not None and np.isfinite(pairs).all():
             # float64 pairs viewed as complex128 keep every bit, -0.0 included.
             return pairs.view(complex)
-    return _scan_pairs(raw, what)
-
-
-def _scan_pairs(raw: list, what: str) -> np.ndarray:
-    """Entry-by-entry reader; raises at the first bad entry, by index."""
-    values = np.empty(len(raw), dtype=complex)
     for k, pair in enumerate(raw):
         if (not isinstance(pair, list)) or len(pair) != 2:
-            raise SerializationError(
-                f"{what}[{k}] must be a [re, im] pair"
-            )
-        re, im = pair
-        for comp in (re, im):
-            if isinstance(comp, bool) or not isinstance(comp, (int, float)):
-                raise SerializationError(
-                    f"{what}[{k}] components must be numbers"
-                )
+            raise SerializationError(f"{what}[{k}] must be a [re, im] pair")
+        if not _all_of(set(map(type, pair)), _NUMBER_TYPES):
+            raise SerializationError(f"{what}[{k}] components must be numbers")
         try:
-            z = complex(float(re), float(im))
+            finite = all(map(math.isfinite, pair))
         except OverflowError:
-            raise SerializationError(f"{what}[{k}] must be finite") from None
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+            finite = False
+        if not finite:
             raise SerializationError(f"{what}[{k}] must be finite")
-        values[k] = z
-    return values
+
+
+def _all_of(types: set, allowed: set) -> bool:
+    """Whether each of ``types`` is in ``allowed`` or, not being ``bool``,
+    subclasses one; the exact test first, as it is the fast one."""
+    return types <= allowed or all(
+        issubclass(t, tuple(allowed)) and t is not bool for t in types)
 
 
 def _complex_to_pairs(values) -> np.ndarray:

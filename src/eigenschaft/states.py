@@ -10,6 +10,7 @@ purity drops below one and its trace dispersion goes negative.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -78,6 +79,9 @@ class StateVector:
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
         """The ``index``-th standard basis vector in ``dim`` dimensions."""
+        for noun, n in (("dim", dim), ("basis index", index)):
+            if not isinstance(n, numbers.Integral):
+                raise DomainError(f"{noun} must be an integer, got {n!r}")
         if not 0 <= index < dim:
             raise ShapeError(f"basis index {index} out of range for dim {dim}")
         amp = np.zeros(dim, dtype=complex)

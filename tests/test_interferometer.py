@@ -104,6 +104,20 @@ class TestRunInterferometer:
         assert np.array_equal(quiet.intensity_port1,
                               run_interferometer(state, config(8)).intensity_port1)
 
+    @pytest.mark.parametrize("seed", [1.5, None, "1", 2.0])
+    def test_non_integer_seed_with_noise_is_domain_error(self, seed):
+        state = two_arm_state(0.6, 0.8, 1.0)
+        message = f"noise seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(DomainError) as exc:
+            run_interferometer(state, config(8, sigma=0.1), rng_seed=seed)
+        assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            holographic_report(state, config(8, sigma=0.1), seed=seed)
+        assert str(exc.value) == message
+        noisy = run_interferometer(state, config(8, sigma=0.1), rng_seed=np.int64(9))
+        assert np.array_equal(noisy.intensity_port1, run_interferometer(
+            state, config(8, sigma=0.1), rng_seed=9).intensity_port1)
+
     def test_rejects_wrong_state_dimension(self):
         with pytest.raises(ShapeError):
             run_interferometer(StateVector.basis_state(3, 0), config())

@@ -200,6 +200,30 @@ DOORS = {
 }
 
 
+def narrow_calls(t):
+    """Each door with every number it takes of the float type ``t``, the
+    rest valid."""
+    e0, e1 = StateVector.basis_state(2, 0), StateVector.basis_state(2, 1)
+    fringe = lambda: FringeRecord(*[np.linspace(0.0, 1.0, 4, dtype=t)] * 3)
+    diag = dict(dim=3, alphas=(1.0, 0.0, 0.0), trace_sign=1, phases=(0.0, 0.0))
+    return {
+        "as_square": lambda: as_square(np.eye(2, dtype=t)),
+        "StateVector": lambda: StateVector.normalized(np.ones(2, dtype=t)),
+        "superpose": lambda: superpose(t(1), e0, t(1), e1),
+        "H2Params": lambda: H2Params(t(0.5), t(0.0)),
+        "DiagSpec": lambda: DiagSpec(**{**diag, "phases": np.array([0.5, 1.0], t)}),
+        "DiagSpec-alphas": lambda: DiagSpec(**{**diag, "alphas": np.array([1, 0, 0], t)}),
+        "sweep-phases": lambda: InterferometerConfig(hadamard(), uniform_sweep(8).astype(t)),
+        "sigma": lambda: InterferometerConfig(hadamard(), [0.0], t(0.5)),
+        "fringe-phases": fringe,
+        "I1": fringe,
+        "I2": fringe,
+        "TwoLevelSystem": lambda: TwoLevelSystem(t(1.0), t(0.5), hadamard()),
+        "evolve_h2": lambda: evolve_h2(_system(), t(0.5)),
+        "beat_trace": lambda: beat_trace(_system(), np.linspace(0.0, 1.0, 4, dtype=t)),
+    }
+
+
 def refused_by_door(door, x) -> bool:
     """Whether ``x`` is refused by the door with the door's own message; any
     other outcome (a result, or a later check's error) is not a refusal."""
@@ -260,6 +284,21 @@ class TestDoors:
             call(x)
         assert type(exc.value) is error
         assert str(exc.value) == f"{noun} must be numeric"
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("t", [np.float32, np.float16])
+    def test_narrow_floats_are_admitted(self, door, t):
+        """Compared in the input's own type, the bound 1e100 overflows a
+        float32 or float16 with a RuntimeWarning, an error here.  A later
+        gate may still refuse the value: ``evolve_h2`` computes its phase
+        factor in single precision, and the operator gate refuses it."""
+        calls = narrow_calls(t)
+        assert calls.keys() == DOORS.keys()
+        try:
+            calls[door]()
+        except EigenschaftError as exc:
+            assert door == "evolve_h2"
+            assert str(exc).startswith("not an involution")
 
     @pytest.mark.parametrize("door", DOORS)
     @settings(max_examples=50, deadline=None)

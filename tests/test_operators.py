@@ -281,6 +281,9 @@ class TestDiagSpec:
     @pytest.mark.parametrize("change, message", [
         ({"trace_sign": 0}, "trace_sign must be +1 or -1"),
         ({"alphas": (0.5, 0.5)}, "need 3 diagonal entries, got 2"),
+        ({"alphas": [[1 / 3, 1 / 3, 1 / 3]]}, "need 3 diagonal entries, got 1"),
+        ({"alphas": 1 / 3}, "need 3 diagonal entries, got 1"),
+        ({"phases": [[0.0, 0.0]]}, "dimension 3 takes 2 free phases, got 1"),
     ])
     def test_rejects_malformed_spec(self, change, message):
         spec = {"dim": 3, "alphas": (1 / 3,) * 3, "trace_sign": 1,
@@ -389,6 +392,15 @@ class TestProjectorSet:
         with pytest.raises(ShapeError) as exc:
             ProjectorSet(projectors)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2", None])
+    def test_standard_basis_needs_an_integer_dim(self, dim):
+        with pytest.raises(DomainError) as exc:
+            ProjectorSet.standard_basis(dim)
+        assert str(exc.value) == f"dim must be an integer, got {dim!r}"
+
+    def test_standard_basis_takes_numpy_integers(self):
+        assert ProjectorSet.standard_basis(np.int64(3)).dim == 3
 
 
 class TestProjectorSetMatchesPairwise:
@@ -876,6 +888,20 @@ class TestValidate:
         # dim 3 has odd parity: nearest odd integer to 2.7 is 3.
         assert report.trace_class == 3
         assert report.trace_class_suspect
+
+    @pytest.mark.parametrize("alphas, phases, keys", [
+        ((1.0, 0.0, 0.0), (0.0, 0.0), ["mag_12", "mag_13", "mag_23"]),
+        ((1.0, 1 / 3, 1 / 3, 1 / 3), (0.3, -0.5, 1.0),
+         ["mag_12", "mag_13", "mag_14", "mag_23", "mag_24", "mag_34"]),
+    ])
+    def test_closure_through_a_vanishing_amplitude_is_omitted(
+            self, alphas, phases, keys):
+        """With alpha_1 = trace_sign the first row's off-diagonals vanish,
+        so no closure through them has a phase to compare."""
+        spec = DiagSpec(dim=len(alphas), alphas=alphas, trace_sign=1, phases=phases)
+        report = validate(build_from_diag(spec))
+        assert list(report.relation_residuals) == keys
+        assert max(report.relation_residuals.values()) <= 1e-12
 
     def test_traceless_dim4_skips_relations(self):
         d = EigenschaftOp.from_matrix(np.diag([1.0, -1.0]))

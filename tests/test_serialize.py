@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenschaft import serialize
@@ -146,6 +146,13 @@ class TestProjectorSetFormat:
         d = serialize.projector_set_to_dict(ps)
         d["dim"] = 3
         with pytest.raises(SerializationError):
+            serialize.projector_set_from_dict(d)
+
+    def test_member_dimension_must_match_dim(self):
+        d = _wire(serialize.projector_set_to_dict(ProjectorSet.standard_basis(2)))
+        d["dim"] = 3
+        with pytest.raises(SerializationError,
+                           match="^projector dimensions disagree with 'dim'$"):
             serialize.projector_set_from_dict(d)
 
     def test_projectors_must_be_a_list(self):
@@ -545,3 +552,79 @@ class TestReaderRejections:
         with pytest.raises(SerializationError,
                            match=r"^entries must be a list of \[re, im\] pairs$"):
             serialize.matrix_from_dict({"dim": 1, "entries": ((1.0, 0.0),)})
+
+
+class _Row(list):
+    pass
+
+
+def _read_entry_by_entry(raw, what):
+    """Reference reader: each entry checked and converted on its own, the
+    first bad one named."""
+    values = np.empty(len(raw), dtype=complex)
+    for k, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SerializationError(f"{what}[{k}] must be a [re, im] pair")
+        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pair):
+            raise SerializationError(f"{what}[{k}] components must be numbers")
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:
+            raise SerializationError(f"{what}[{k}] must be finite") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SerializationError(f"{what}[{k}] must be finite")
+        values[k] = complex(re, im)
+    return values
+
+
+GOOD_COMPONENTS = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2 ** 53 + 1, -(2 ** 53 + 1),
+                     np.float64(-2.5), np.float64(-0.0), MAX_MAGNITUDE])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(-2 ** 70, 2 ** 70))
+BAD_COMPONENTS = st.booleans() | st.sampled_from(
+    ["x", None, math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
+GOOD_ENTRIES = st.builds(lambda row, pair: row(pair), st.sampled_from([list, _Row]),
+                         st.lists(GOOD_COMPONENTS, min_size=2, max_size=2))
+#: Entries the reader refuses, but for a length-2 list of good components.
+ODD_ENTRIES = (
+    st.builds(lambda row, pair, bad, k: row(pair[:k] + [bad] + pair[k + 1:]),
+              st.sampled_from([list, _Row]),
+              st.lists(GOOD_COMPONENTS, min_size=2, max_size=2),
+              BAD_COMPONENTS, st.integers(0, 1))
+    | st.lists(GOOD_COMPONENTS, min_size=1, max_size=3)
+    | st.tuples(GOOD_COMPONENTS, GOOD_COMPONENTS)
+    | st.sampled_from(["x", None, 0.5]))
+
+
+@st.composite
+def entry_lists(draw):
+    """A dimension and its dim**2 entries, good but for up to two odd ones."""
+    dim = draw(st.integers(1, 4))
+    entries = draw(st.lists(GOOD_ENTRIES, min_size=dim * dim, max_size=dim * dim))
+    for _ in range(draw(st.integers(0, 2))):
+        entries[draw(st.integers(0, dim * dim - 1))] = draw(ODD_ENTRIES)
+    return dim, entries
+
+
+class TestReaderOneValuePath:
+    @settings(max_examples=150, deadline=None)
+    @given(case=entry_lists())
+    @example(case=(2, [[0.5, -0.0], _Row([1, 2]), [np.float64(-2.5), 2 ** 53 + 1], GOOD]))
+    @example(case=(1, [[True, 0.0]]))
+    def test_reads_like_the_entry_by_entry_reference(self, case):
+        """The bulk read returns the reference's bits, -0.0 included, or
+        raises the reference's message for the first bad entry."""
+        dim, entries = case
+        payload = {"dim": dim, "entries": entries}
+        try:
+            want = _read_entry_by_entry(entries, "entries")
+        except SerializationError as exc:
+            with pytest.raises(SerializationError) as got:
+                serialize.matrix_from_dict(payload)
+            assert str(got.value) == str(exc)
+        else:
+            back = serialize.matrix_from_dict(payload)
+            assert back.shape == (dim, dim) and back.dtype == complex
+            assert np.array_equal(back.reshape(-1).view(np.int64), want.view(np.int64))

@@ -56,6 +56,21 @@ class TestStateVector:
         with pytest.raises(ShapeError, match="^basis index 2 out of range for dim 2$"):
             StateVector.basis_state(2, 2)
 
+    @pytest.mark.parametrize("dim, index, message", [
+        (2, 1.5, "basis index must be an integer, got 1.5"),
+        (2, "1", "basis index must be an integer, got '1'"),
+        (2, None, "basis index must be an integer, got None"),
+        (2.0, 1, "dim must be an integer, got 2.0"),
+    ])
+    def test_basis_state_needs_integers(self, dim, index, message):
+        with pytest.raises(DomainError) as exc:
+            StateVector.basis_state(dim, index)
+        assert str(exc.value) == message
+
+    def test_basis_state_takes_numpy_integers(self):
+        s = StateVector.basis_state(np.int64(3), np.uint8(2))
+        assert np.array_equal(s.amplitudes, [0.0, 0.0, 1.0])
+
     def test_amplitudes_read_only(self):
         s = e(2, 0)
         with pytest.raises(ValueError):
