@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_real
+from .linalg import as_real, as_scalars, freeze_fields
 from .operators import EigenschaftOp, h2_elements, wrap_phase
 
 
@@ -27,13 +27,14 @@ class TwoLevelSystem:
     h2: EigenschaftOp
 
     def __post_init__(self):
-        as_real([self.omega1, self.omega2], "frequencies")
+        omega1, omega2 = as_scalars((self.omega1, self.omega2), "frequencies")
         if self.h2.dim != 2:
             raise ShapeError("two-level evolution needs a dimension-2 operator")
+        freeze_fields(self, omega1=omega1, omega2=omega2)
 
     @property
     def detuning(self) -> float:
-        return float(self.omega1 - self.omega2)
+        return self.omega1 - self.omega2
 
 
 class BeatSample(NamedTuple):
@@ -47,7 +48,7 @@ def evolve_h2(sys: TwoLevelSystem, t: float) -> EigenschaftOp:
     The diagonal (and with it the spectrum) is unchanged; the off-diagonal
     magnitude is preserved, so the result is again a valid involution.
     """
-    as_real(t, "time")
+    (t,) = as_scalars((t,), "time")
     m = np.array(sys.h2.matrix, dtype=complex)
     m[0, 1] = m[0, 1] * np.exp(1j * sys.detuning * t)
     m[1, 0] = np.conj(m[0, 1])

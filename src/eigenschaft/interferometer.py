@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
-from .linalg import MAX_MAGNITUDE, TOL_INV, as_real, freeze_fields
+from .linalg import MAX_MAGNITUDE, TOL_INV, as_real, as_scalars, freeze_fields
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
@@ -49,7 +49,7 @@ class InterferometerConfig:
         phases = as_real(self.sweep_phases, "sweep phases").reshape(-1)
         if phases.size == 0:
             raise DomainError("phase sweep must be non-empty")
-        sigma = float(as_real(self.shot_noise_sigma, "shot noise sigma"))
+        (sigma,) = as_scalars((self.shot_noise_sigma,), "shot noise sigma")
         if sigma < 0.0:
             raise DomainError("shot noise sigma must be nonnegative")
         freeze_fields(self, sweep_phases=phases, shot_noise_sigma=sigma)
@@ -58,12 +58,12 @@ class InterferometerConfig:
 def uniform_sweep(n: int) -> np.ndarray:
     """``n`` equally spaced phases covering one full fringe period.
 
-    ``n`` must be an integer (a Python or numpy one); a fractional count
-    would not close the period, and a count past the largest float array
-    numpy can index would not fit in one, so both are refused with
+    ``n`` must be a Python or numpy integer, not a ``bool``; a fractional
+    count would not close the period, and a count past the largest float
+    array numpy can index would not fit in one, so both are refused with
     ``DomainError``.
     """
-    if not isinstance(n, numbers.Integral):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"sweep size must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("sweep needs at least one phase")
@@ -158,7 +158,8 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     i1 = np.abs(out1) ** 2
     i2 = np.abs(out2) ** 2
     if cfg.shot_noise_sigma > 0.0:
-        if not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
+        if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
+                or rng_seed < 0):
             raise DomainError(
                 f"noise seed must be a nonnegative integer, got {rng_seed!r}"
             )

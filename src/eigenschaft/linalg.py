@@ -13,17 +13,18 @@ an unchecked spectrum.  It serves the positivity gate of
 ``states.DensityMatrix`` and the spectral resolution in
 ``operators.to_projectors``.
 
-Every number the package takes is finite and at most ``MAX_MAGNITUDE`` in
-magnitude; ``check_magnitude`` is that one rule, compared in float64 where
-input enters.  Before it, ``as_numeric`` refuses non-numbers (strings,
-``None``, other objects) in the door's own terms.  A real-number door makes
-one call, ``as_real``, which also refuses complex numbers and returns the
-float64 array it admitted.  A sum of up to ``1e100`` products of two such
+Every number the package takes enters through ``as_numeric``, the one
+place where outside input meets ``np.asarray``: it refuses anything but an
+evenly nested array of numbers, each finite and at most ``MAX_MAGNITUDE``
+(compared in float64).  ``as_real``, ``as_scalars`` and ``as_square`` are
+that call for real numbers, single numbers and matrices; each door keeps
+what its call returns.  A sum of up to ``1e100`` products of two such
 numbers stays finite, so the arithmetic after the check cannot overflow.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,43 +45,42 @@ MAX_MAGNITUDE = 1e100
 
 
 def as_numeric(a, noun: str, error=DomainError) -> np.ndarray:
-    """``np.asarray(a)``, refused with ``error`` as ``{noun} must be
-    numeric`` unless its dtype is boolean, integer, real or complex.
-
-    Strings, ``None`` and other objects are refused here, before any cast
-    to float or complex could read ``"0.5"`` as a number or fail with
-    numpy's own error.
-    """
-    a = np.asarray(a)
+    """``np.asarray(a)``, refused with ``error`` naming ``noun`` if it holds
+    a non-number or unevenly nested sequences (before any cast could read
+    ``"0.5"`` as a number or fail with numpy's error), or an entry not finite
+    or past ``MAX_MAGNITUDE``.  That bound is compared in float64 before any
+    cast: it overflows a float32, and a longdouble past float64's range is
+    refused, not cast to inf."""
+    try:
+        a = np.asarray(a)
+    except ValueError:
+        raise error(f"{noun} must be numeric") from None
     if a.dtype.kind not in "biufc":
         raise error(f"{noun} must be numeric")
-    return a
-
-
-def check_magnitude(a, noun: str, error=DomainError) -> None:
-    """Raise ``error`` unless every entry of ``a`` is finite and at most
-    ``MAX_MAGNITUDE`` in (complex) magnitude; the message names ``noun``.
-
-    Non-numeric ``a`` is refused first, by :func:`as_numeric`.  The largest
-    magnitude is compared as a float64: the bound overflows a float32.
-    """
-    a = as_numeric(a, noun, error)
-    if not float(np.abs(a).max(initial=0.0)) <= MAX_MAGNITUDE:
+    if not max_abs(a) <= MAX_MAGNITUDE:
         raise error(
             f"{noun} must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
         )
+    return a
 
 
 def as_real(a, noun: str, error=DomainError) -> np.ndarray:
-    """``a`` as a float64 array, once :func:`as_numeric` admits it, its
-    dtype is not complex (else ``{noun} must be real``: a cast would drop the
-    imaginary part) and :func:`check_magnitude` passes.  The cast comes last,
-    so a longdouble past float64's range is refused, not cast to inf."""
+    """:func:`as_numeric`, then refused as ``{noun} must be real`` if its
+    dtype is complex (a cast would drop the imaginary part); returned as a
+    float64 array."""
     a = as_numeric(a, noun, error)
     if a.dtype.kind == "c":
         raise error(f"{noun} must be real")
-    check_magnitude(a, noun, error)
     return a.astype(float, copy=False)
+
+
+def as_scalars(values: tuple, noun: str, door=as_real) -> list:
+    """``door(values, noun)`` as a list of Python numbers, refused as
+    ``{noun} must be scalar`` if one of ``values`` is a sequence."""
+    a = door(values, noun)
+    if a.ndim != 1:
+        raise DomainError(f"{noun} must be scalar")
+    return a.tolist()
 
 
 def as_square(a) -> np.ndarray:
@@ -91,10 +91,20 @@ def as_square(a) -> np.ndarray:
         raise ShapeError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise ShapeError("matrix must be non-empty")
-    check_magnitude(m, "matrix entries")
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_dim(n) -> int:
+    """``n`` as an ``int``, refused with ``DomainError`` unless it is a Python
+    or numpy integer from 1 to the longest axis numpy indexes; a ``bool``,
+    which numpy reads as 1 or as a mask, is refused too."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"dim must be an integer, got {n!r}")
+    if not 1 <= n <= np.iinfo(np.intp).max:
+        raise DomainError(f"dim must be from 1 to {np.iinfo(np.intp).max}, got {n}")
+    return int(n)
 
 
 def as_hermitian(a) -> np.ndarray:

@@ -24,7 +24,6 @@ of the independent ones (not merely differences modulo pi).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,8 +33,10 @@ from .errors import ConstructionError, DomainError, ShapeError
 from .linalg import (
     TOL_HERM,
     TOL_INV,
+    as_dim,
     as_hermitian,
     as_real,
+    as_scalars,
     as_square,
     freeze_fields,
     hermitian_eig,
@@ -222,9 +223,7 @@ class ProjectorSet:
 
     @classmethod
     def standard_basis(cls, dim: int) -> "ProjectorSet":
-        if not isinstance(dim, numbers.Integral):
-            raise DomainError(f"dim must be an integer, got {dim!r}")
-        return cls.from_columns(np.eye(dim, dtype=complex))
+        return cls.from_columns(np.eye(as_dim(dim), dtype=complex))
 
 
 class ProjectorDecomposition(NamedTuple):
@@ -247,7 +246,8 @@ class H2Params:
     delta_phi: float
 
     def __post_init__(self):
-        as_real([self.gamma_angle, self.delta_phi], "angles")
+        gamma, dphi = as_scalars((self.gamma_angle, self.delta_phi), "angles")
+        freeze_fields(self, gamma_angle=gamma, delta_phi=dphi)
 
 
 class H2Elements(NamedTuple):
@@ -386,8 +386,8 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     ``H`` is diagonalised by :func:`hermitian_eig`, and each eigenvector
     gives one projector.  The gate is that of the eigensolve: the input
     Hermitian within ``TOL_HERM`` and every eigenvalue within
-    ``TOL_SPECTRUM`` of +-1, a safety check behind the constructor's
-    residual gates.  Signs come out ascending,
+    ``TOL_SPECTRUM`` of its sign, a safety check behind the constructor's
+    residual gates.  The signs, ascending, are read off the trace class:
     ``(-1,) * n_minus + (1,) * n_plus``.
 
     Inside each eigenspace the basis is LAPACK's: deterministic but not
@@ -395,17 +395,15 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     canonical.
     """
     spectrum = hermitian_eig(op.matrix)
-    signs = []
-    for lam in spectrum.eigenvalues:
-        k = 1 if lam > 0 else -1
-        if not abs(lam - k) <= TOL_SPECTRUM:
-            raise DomainError(
-                f"eigenvalue {float(lam)!r} is not within 1e-8 of +-1; "
-                "input is not an involution"
-            )
-        signs.append(k)
+    signs = (-1,) * op.multiplicities[1] + (1,) * op.multiplicities[0]
+    off = np.abs(spectrum.eigenvalues - signs) > TOL_SPECTRUM
+    if off.any():
+        raise DomainError(
+            f"eigenvalue {float(spectrum.eigenvalues[off.argmax()])!r} is not "
+            "within 1e-8 of +-1; input is not an involution"
+        )
     projectors = ProjectorSet.from_columns(spectrum.eigenvectors)
-    return ProjectorDecomposition(projectors, tuple(signs))
+    return ProjectorDecomposition(projectors, signs)
 
 
 def complement_family(ps: ProjectorSet, kind: str = "flip") -> list[EigenschaftOp]:

@@ -18,10 +18,11 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .linalg import (
+    as_dim,
     as_hermitian,
     as_numeric,
+    as_scalars,
     as_square,
-    check_magnitude,
     freeze_fields,
     hermitian_eig,
 )
@@ -38,7 +39,6 @@ def _as_amplitudes(values) -> np.ndarray:
     amp = as_numeric(values, "amplitudes").astype(complex, copy=False)
     if amp.ndim != 1 or amp.size == 0:
         raise ShapeError("amplitudes must form a non-empty 1-d sequence")
-    check_magnitude(amp, "amplitudes")
     return amp
 
 
@@ -79,9 +79,9 @@ class StateVector:
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
         """The ``index``-th standard basis vector in ``dim`` dimensions."""
-        for noun, n in (("dim", dim), ("basis index", index)):
-            if not isinstance(n, numbers.Integral):
-                raise DomainError(f"{noun} must be an integer, got {n!r}")
+        dim = as_dim(dim)
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+            raise DomainError(f"basis index must be an integer, got {index!r}")
         if not 0 <= index < dim:
             raise ShapeError(f"basis index {index} out of range for dim {dim}")
         amp = np.zeros(dim, dtype=complex)
@@ -131,7 +131,7 @@ def superpose(c1: complex, s1: StateVector, c2: complex, s2: StateVector) -> Sta
     """
     if s1.dim != s2.dim:
         raise ShapeError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
-    check_magnitude([c1, c2], "coefficients")
+    c1, c2 = as_scalars((c1, c2), "coefficients", as_numeric)
     combo = c1 * s1.amplitudes + c2 * s2.amplitudes
     norm = float(np.linalg.norm(combo))
     if norm <= 1e-12 * (abs(c1) + abs(c2)):

@@ -104,7 +104,7 @@ class TestRunInterferometer:
         assert np.array_equal(quiet.intensity_port1,
                               run_interferometer(state, config(8)).intensity_port1)
 
-    @pytest.mark.parametrize("seed", [1.5, None, "1", 2.0])
+    @pytest.mark.parametrize("seed", [1.5, None, "1", 2.0, True])
     def test_non_integer_seed_with_noise_is_domain_error(self, seed):
         state = two_arm_state(0.6, 0.8, 1.0)
         message = f"noise seed must be a nonnegative integer, got {seed!r}"
@@ -363,7 +363,7 @@ class TestUniformSweep:
         with pytest.raises(DomainError):
             uniform_sweep(0)
 
-    @pytest.mark.parametrize("n", [2.5, 4.0, "4"])
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", True])
     def test_rejects_non_integer_count(self, n):
         """A fractional count would not close one period (2.5 gave the
         phases 0, 0.8 pi and 1.6 pi)."""

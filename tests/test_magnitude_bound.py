@@ -8,6 +8,7 @@ Warnings are errors here, so a numpy overflow warning fails the test.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +26,28 @@ from eigenschaft.interferometer import (
     uniform_sweep,
 )
 from eigenschaft.linalg import MAX_MAGNITUDE, as_square, hermitian_eig
-from eigenschaft.operators import DiagSpec, EigenschaftOp, H2Params, hadamard, validate
+from eigenschaft.operators import (
+    DiagSpec,
+    EigenschaftOp,
+    H2Params,
+    ProjectorSet,
+    build_h2,
+    hadamard,
+    validate,
+)
 from eigenschaft.serialize import dumps, matrix_to_dict
 from eigenschaft.states import StateVector, decompose_state, superpose
 
 from helpers import random_hermitian, random_state
 
-pytestmark = pytest.mark.filterwarnings("error")
+#: Every warning is an error, but for the one Hypothesis's failure report
+#: raises on import (as in pyproject.toml), so a failing property reports as
+#: a failure here too, not as pytest's INTERNALERROR.
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 ABOVE = float(np.nextafter(MAX_MAGNITUDE, np.inf))
 DIMS = [1, 2, 3, 4, 8, 64]
@@ -289,16 +305,91 @@ class TestDoors:
     @pytest.mark.parametrize("t", [np.float32, np.float16])
     def test_narrow_floats_are_admitted(self, door, t):
         """Compared in the input's own type, the bound 1e100 overflows a
-        float32 or float16 with a RuntimeWarning, an error here.  A later
-        gate may still refuse the value: ``evolve_h2`` computes its phase
-        factor in single precision, and the operator gate refuses it."""
+        float32 or float16 with a RuntimeWarning, an error here."""
         calls = narrow_calls(t)
         assert calls.keys() == DOORS.keys()
-        try:
-            calls[door]()
-        except EigenschaftError as exc:
-            assert door == "evolve_h2"
-            assert str(exc).startswith("not an involution")
+        calls[door]()
+
+    @pytest.mark.parametrize("t", [np.float32, np.float16])
+    def test_narrow_floats_are_computed_in_float64(self, t):
+        """The doors keep the float64 values they admit.  Computed in single
+        precision, ``build_h2`` and ``evolve_h2`` made involution residuals
+        of 1e-8 to 2e-4, and the operator gate refused their own results."""
+        params = H2Params(t(0.5), t(0.25))
+        assert (params.gamma_angle, params.delta_phi) == (0.5, 0.25)
+        assert type(params.gamma_angle) is float
+        assert np.array_equal(build_h2(params).matrix,
+                              build_h2(H2Params(0.5, 0.25)).matrix)
+        system = TwoLevelSystem(t(1.0), t(0.3), hadamard())
+        assert system.detuning == 1.0 - float(t(0.3))
+        assert np.array_equal(evolve_h2(system, t(0.5)).matrix,
+                              evolve_h2(system, 0.5).matrix)
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("x", [[0.5], np.array([0.5, 0.2]), []],
+                             ids=["list", "array", "empty"])
+    def test_door_refuses_a_sequence_for_a_number(self, door, x):
+        """Where a door takes one number, a sequence is refused with its
+        error and noun: nested beside other numbers it is ragged (not
+        numeric), and alone at a scalar door it is not scalar."""
+        noun, error, _, call = DOORS[door]
+        with pytest.raises(error) as exc:
+            call(x)
+        assert type(exc.value) is error
+        alone = door in ("sigma", "evolve_h2")
+        assert str(exc.value) == f"{noun} must be {'scalar' if alone else 'numeric'}"
+
+    @pytest.mark.parametrize("door", ["H2Params", "TwoLevelSystem", "evolve_h2",
+                                      "sigma", "superpose"])
+    def test_scalar_doors_refuse_sequences(self, door):
+        """Every number of a scalar door given as an equal-length sequence:
+        numpy's ``TypeError`` or ``ValueError`` escaped, or (``H2Params``)
+        ``build_h2`` refused a 3-d matrix."""
+        pair = np.array([0.5, 0.2])
+        e0, e1 = StateVector.basis_state(2, 0), StateVector.basis_state(2, 1)
+        call, message = {
+            "H2Params": (lambda: build_h2(H2Params(pair, pair)), "angles"),
+            "TwoLevelSystem": (lambda: TwoLevelSystem(pair, pair, hadamard()),
+                               "frequencies"),
+            "evolve_h2": (lambda: evolve_h2(_system(), [0.5]), "time"),
+            "sigma": (lambda: InterferometerConfig(hadamard(), [0.0], [0.1]),
+                      "shot noise sigma"),
+            "superpose": (lambda: superpose(pair, e0, pair, e1), "coefficients"),
+        }[door]
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"{message} must be scalar"
+
+    @pytest.mark.parametrize("door", [
+        "EigenschaftOp", "StateVector", "DiagSpec", "validate", "hermitian_eig",
+        "ProjectorSet", "FringeRecord", "decompose_state",
+    ])
+    def test_ragged_nesting_is_not_numeric(self, door):
+        """Sequences nested to unequal depths raised numpy's ``ValueError``
+        (``inhomogeneous shape``) at every array door."""
+        ragged = [[1.0, 0.0], [0.0]]
+        call, noun, error = {
+            "EigenschaftOp": (lambda: EigenschaftOp(ragged), "matrix entries",
+                              DomainError),
+            "StateVector": (lambda: StateVector([1.0, [0.0]]), "amplitudes",
+                            DomainError),
+            "DiagSpec": (lambda: DiagSpec(3, [1.0, [0.0], 0.0], 1, (0.0, 0.0)),
+                         "alphas", ConstructionError),
+            "validate": (lambda: validate(ragged), "matrix entries", DomainError),
+            "hermitian_eig": (lambda: hermitian_eig(ragged), "matrix entries",
+                              DomainError),
+            "ProjectorSet": (lambda: ProjectorSet((ragged, np.eye(2))),
+                             "matrix entries", DomainError),
+            "FringeRecord": (lambda: FringeRecord([0.0, 1.0], ragged, [0.0, 0.0]),
+                             "I1", DomainError),
+            "decompose_state": (lambda: decompose_state(
+                ragged, StateVector.basis_state(2, 0)), "matrix entries",
+                DomainError),
+        }[door]
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{noun} must be numeric"
 
     @pytest.mark.parametrize("door", DOORS)
     @settings(max_examples=50, deadline=None)
@@ -306,3 +397,49 @@ class TestDoors:
     def test_refuses_exactly_outside_the_bound(self, door, data):
         x = data.draw(COMPLEXES if DOORS[door][2] else REALS)
         assert refused_by_door(door, x) == (not np.abs(x) <= MAX_MAGNITUDE)
+
+
+def typed(value, t):
+    """``value`` as a numpy array of type ``t`` where numpy can make one,
+    else ``value`` itself; ``t`` None keeps the plain Python value."""
+    if t is None:
+        return value
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            return np.array(value, dtype=t)
+        except (ValueError, TypeError, OverflowError):
+            return value
+
+
+#: Leaves of every kind a caller might pass: truth values, integers past
+#: int64, floats past the bound and non-finite, complex numbers, strings,
+#: ``None``.
+LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(-10, 10) | st.sampled_from([2**63, -2**70]),
+    st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 1e101, -1e101]),
+    st.complex_numbers(),
+    st.text(max_size=2),
+    st.none(),
+)
+TYPES = st.sampled_from([None, bool, int, np.float16, np.float32, np.float64,
+                         complex, str, object])
+#: Lists or arrays of random depth whose items are drawn independently, so
+#: lengths and depths are ragged as often as not.
+NESTED = st.builds(typed, st.recursive(
+    LEAVES, lambda items: st.builds(typed, st.lists(items, max_size=3), TYPES),
+    max_leaves=8), TYPES)
+
+
+@pytest.mark.parametrize("door", DOORS)
+@settings(deadline=None)
+@given(x=NESTED)
+def test_door_fails_only_in_its_own_terms(door, x):
+    """Whatever is passed where a number goes, a door returns or raises an
+    ``EigenschaftError``; never a numpy or builtin error, nor a warning.
+    The example budget is the profile's (tests/conftest.py)."""
+    try:
+        DOORS[door][3](x)
+    except EigenschaftError:
+        pass

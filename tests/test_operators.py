@@ -9,6 +9,7 @@ from eigenschaft.linalg import (
     TOL_INV,
     TOL_ORTHO,
     as_square,
+    hermitian_eig,
     hermiticity_residual,
     involution_residual,
     max_abs,
@@ -393,11 +394,22 @@ class TestProjectorSet:
             ProjectorSet(projectors)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("dim", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2", None, True])
     def test_standard_basis_needs_an_integer_dim(self, dim):
         with pytest.raises(DomainError) as exc:
             ProjectorSet.standard_basis(dim)
         assert str(exc.value) == f"dim must be an integer, got {dim!r}"
+
+    @pytest.mark.parametrize("dim", [-1, 0, 2**63, 2**70])
+    def test_standard_basis_needs_a_dim_numpy_can_hold(self, dim):
+        """-1 and 2**63 raised numpy's ``ValueError`` and 0 was refused as
+        an empty matrix.  Only dims that numpy could never allocate are
+        tried here."""
+        with pytest.raises(DomainError) as exc:
+            ProjectorSet.standard_basis(dim)
+        assert str(exc.value) == (
+            f"dim must be from 1 to {np.iinfo(np.intp).max}, got {dim}"
+        )
 
     def test_standard_basis_takes_numpy_integers(self):
         assert ProjectorSet.standard_basis(np.int64(3)).dim == 3
@@ -537,6 +549,51 @@ class TestProjectorRoundtrip:
                 rebuilt = from_projector_flip(pd.projectors, pd.signs)
                 assert max_abs(rebuilt.matrix - m) <= 1e-9
                 assert rebuilt.trace_class == op.trace_class
+
+
+def _signs_by_loop(eigenvalues) -> tuple[int, ...]:
+    """The per-eigenvalue sign read ``to_projectors`` made before it read
+    its signs off the trace class: the nearer of +-1, within 1e-8."""
+    signs = []
+    for lam in eigenvalues:
+        k = 1 if lam > 0 else -1
+        if not abs(lam - k) <= 1e-8:
+            raise DomainError(
+                f"eigenvalue {float(lam)!r} is not within 1e-8 of +-1; "
+                "input is not an involution"
+            )
+        signs.append(k)
+    return tuple(signs)
+
+
+class TestToProjectorsSigns:
+    def test_signs_match_the_loop(self):
+        """Every trace class at n = 1 to 9, and the extreme and balanced
+        ones at n = 33: the trace-class signs are those of the
+        per-eigenvalue loop."""
+        rng = np.random.default_rng(2024)
+        cases = [(n, tc) for n in range(1, 10) for tc in range(-n, n + 1, 2)]
+        for n, tc in cases + [(33, tc) for tc in (-33, -1, 1, 33)]:
+            op = EigenschaftOp(random_involution(n, rng, trace_class=tc))
+            pd = to_projectors(op)
+            assert pd.signs == _signs_by_loop(hermitian_eig(op.matrix).eigenvalues)
+            assert pd.signs.count(1) == op.multiplicities[0]
+
+    @pytest.mark.parametrize("diag", [
+        [-1.0, 0.5], [-1.0, 1.0 + 2e-8], [-1.0 - 3e-8, 1.0], [-0.5, 0.5],
+    ])
+    def test_refusal_matches_the_loop(self, diag):
+        """An operator past the constructor's gates (set up here without
+        them) is refused with the loop's message, naming the same first
+        eigenvalue."""
+        op = object.__new__(EigenschaftOp)
+        object.__setattr__(op, "matrix", np.diag(diag).astype(complex))
+        object.__setattr__(op, "trace_class", 0)
+        with pytest.raises(DomainError) as exc:
+            to_projectors(op)
+        with pytest.raises(DomainError) as ref:
+            _signs_by_loop(np.sort(diag))
+        assert str(exc.value) == str(ref.value)
 
 
 def _domain_cases():

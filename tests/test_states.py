@@ -61,11 +61,24 @@ class TestStateVector:
         (2, "1", "basis index must be an integer, got '1'"),
         (2, None, "basis index must be an integer, got None"),
         (2.0, 1, "dim must be an integer, got 2.0"),
+        (2, True, "basis index must be an integer, got True"),
+        (True, 0, "dim must be an integer, got True"),
     ])
     def test_basis_state_needs_integers(self, dim, index, message):
         with pytest.raises(DomainError) as exc:
             StateVector.basis_state(dim, index)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dim", [-1, 0, 2**63, 2**70])
+    def test_basis_state_needs_a_dim_numpy_can_hold(self, dim):
+        """A dim below 1 was refused as an out-of-range index, and one past
+        the longest axis numpy indexes raised numpy's ``ValueError``.  Only
+        dims that numpy could never allocate are tried here."""
+        with pytest.raises(DomainError) as exc:
+            StateVector.basis_state(dim, 0)
+        assert str(exc.value) == (
+            f"dim must be from 1 to {np.iinfo(np.intp).max}, got {dim}"
+        )
 
     def test_basis_state_takes_numpy_integers(self):
         s = StateVector.basis_state(np.int64(3), np.uint8(2))
