@@ -18,13 +18,12 @@ flagged as conventional.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
-from .linalg import MAX_MAGNITUDE, TOL_INV, as_real, as_scalars, freeze_fields
+from .linalg import MAX_MAGNITUDE, TOL_INV, as_int, as_real, as_scalars, freeze_fields
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
@@ -63,8 +62,7 @@ def uniform_sweep(n: int) -> np.ndarray:
     array numpy can index would not fit in one, so both are refused with
     ``DomainError``.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"sweep size must be an integer, got {n!r}")
+    n = as_int(n, "sweep size")
     if n < 1:
         raise DomainError("sweep needs at least one phase")
     if n > np.iinfo(np.intp).max // np.dtype(float).itemsize:
@@ -158,8 +156,7 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
     i1 = np.abs(out1) ** 2
     i2 = np.abs(out2) ** 2
     if cfg.shot_noise_sigma > 0.0:
-        if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
-                or rng_seed < 0):
+        if as_int(rng_seed, "noise seed") < 0:
             raise DomainError(
                 f"noise seed must be a nonnegative integer, got {rng_seed!r}"
             )

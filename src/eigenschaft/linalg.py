@@ -20,6 +20,8 @@ evenly nested array of numbers, each finite and at most ``MAX_MAGNITUDE``
 that call for real numbers, single numbers and matrices; each door keeps
 what its call returns.  A sum of up to ``1e100`` products of two such
 numbers stays finite, so the arithmetic after the check cannot overflow.
+Integer arguments (dimensions, counts, indices, seeds, signs) pass
+``as_int`` instead.
 """
 
 from __future__ import annotations
@@ -96,15 +98,22 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def as_dim(n) -> int:
-    """``n`` as an ``int``, refused with ``DomainError`` unless it is a Python
-    or numpy integer from 1 to the longest axis numpy indexes; a ``bool``,
-    which numpy reads as 1 or as a mask, is refused too."""
+def as_int(n, noun: str, error=DomainError) -> int:
+    """``n`` as an ``int``, refused with ``error`` naming ``noun`` unless it
+    is a Python or numpy integer; a ``bool``, which numpy reads as 1 or as
+    a mask, is refused too.  Each caller checks its own range."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"dim must be an integer, got {n!r}")
+        raise error(f"{noun} must be an integer, got {n!r}")
+    return int(n)
+
+
+def as_dim(n) -> int:
+    """:func:`as_int`, refused with ``DomainError`` unless from 1 to the
+    longest axis numpy indexes."""
+    n = as_int(n, "dim")
     if not 1 <= n <= np.iinfo(np.intp).max:
         raise DomainError(f"dim must be from 1 to {np.iinfo(np.intp).max}, got {n}")
-    return int(n)
+    return n
 
 
 def as_hermitian(a) -> np.ndarray:

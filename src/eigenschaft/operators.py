@@ -35,6 +35,7 @@ from .linalg import (
     TOL_INV,
     as_dim,
     as_hermitian,
+    as_int,
     as_real,
     as_scalars,
     as_square,
@@ -179,6 +180,9 @@ class ProjectorSet:
     projectors: np.ndarray
 
     def __post_init__(self):
+        if not np.iterable(self.projectors):
+            raise ShapeError("projector set must be a sequence of matrices, "
+                             f"got {self.projectors!r}")
         mats = [as_square(p) for p in self.projectors]
         if not mats:
             raise ShapeError("projector set must be non-empty")
@@ -310,12 +314,12 @@ class DiagSpec:
     phases: tuple[float, ...]
 
     def __post_init__(self):
-        if self.dim not in (3, 4):
+        if as_int(self.dim, "dim", ConstructionError) not in (3, 4):
             raise ConstructionError(
                 f"closed-form diagonal construction covers dims 3 and 4, "
                 f"got {self.dim}"
             )
-        if self.trace_sign not in (1, -1):
+        if as_int(self.trace_sign, "trace_sign", ConstructionError) not in (1, -1):
             raise ConstructionError("trace_sign must be +1 or -1")
         alphas = as_real(self.alphas, "alphas", ConstructionError)
         if alphas.shape != (self.dim,):
@@ -374,7 +378,7 @@ def from_projector_flip(ps: ProjectorSet, signs) -> EigenschaftOp:
         raise DomainError(
             f"need {ps.dim} signs for dimension {ps.dim}, got {len(signs)}"
         )
-    if any(x not in (1, -1) for x in signs):
+    if any(as_int(x, "signs") not in (1, -1) for x in signs):
         raise DomainError("signs must be +1 or -1")
     h = sum(int(s) * p for s, p in zip(signs, ps.projectors))
     return EigenschaftOp.from_matrix(h)
@@ -387,8 +391,9 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
     gives one projector.  The gate is that of the eigensolve: the input
     Hermitian within ``TOL_HERM`` and every eigenvalue within
     ``TOL_SPECTRUM`` of its sign, a safety check behind the constructor's
-    residual gates.  The signs, ascending, are read off the trace class:
-    ``(-1,) * n_minus + (1,) * n_plus``.
+    residual gates; it refuses some admitted operators once n is large
+    (at n = 512, an eigenvalue ``1 - 1.1e-8``).  The signs, ascending, are
+    read off the trace class: ``(-1,) * n_minus + (1,) * n_plus``.
 
     Inside each eigenspace the basis is LAPACK's: deterministic but not
     canonical; only sign-weighted sums (which reproduce the operator) are

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -96,9 +96,9 @@ def _emit(o, level: int, out: list[str]) -> None:
     elif isinstance(o, float):
         out.append(_float_text(o))
     elif isinstance(o, (list, tuple)):
-        _emit_list(o, level, out)
+        _emit_items(zip(repeat(""), o), "[]", level, out)
     elif isinstance(o, dict):
-        _emit_dict(o, level, out)
+        _emit_items(((_key_text(k) + ": ", v) for k, v in o.items()), "{}", level, out)
     elif isinstance(o, np.ndarray):
         _emit_array(o, level, out)
     else:
@@ -107,30 +107,17 @@ def _emit(o, level: int, out: list[str]) -> None:
         )
 
 
-def _emit_list(items, level: int, out: list[str]) -> None:
-    if not items:
-        out.append("[]")
-        return
+def _emit_items(items, brackets: str, level: int, out: list[str]) -> None:
+    """Append a JSON array or object from ``(prefix, value)`` items: the
+    prefix is ``""`` for an array element and ``'"key": '`` for a member,
+    and ``brackets`` is ``"[]"`` or ``"{}"``."""
     inner = "\n" + _INDENT * (level + 1)
-    sep = "[" + inner
-    for item in items:
-        out.append(sep)
-        _emit(item, level + 1, out)
-        sep = "," + inner
-    out.append("\n" + _INDENT * level + "]")
-
-
-def _emit_dict(d, level: int, out: list[str]) -> None:
-    if not d:
-        out.append("{}")
-        return
-    inner = "\n" + _INDENT * (level + 1)
-    sep = "{" + inner
-    for key, value in d.items():
-        out.append(sep + _key_text(key) + ": ")
+    sep = opening = brackets[0] + inner
+    for prefix, value in items:
+        out.append(sep + prefix)
         _emit(value, level + 1, out)
         sep = "," + inner
-    out.append("\n" + _INDENT * level + "}")
+    out.append(brackets if sep is opening else "\n" + _INDENT * level + brackets[1])
 
 
 def _emit_array(a: np.ndarray, level: int, out: list[str]) -> None:

@@ -10,7 +10,6 @@ purity drops below one and its trace dispersion goes negative.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -20,6 +19,7 @@ from .errors import DomainError, ShapeError
 from .linalg import (
     as_dim,
     as_hermitian,
+    as_int,
     as_numeric,
     as_scalars,
     as_square,
@@ -80,8 +80,7 @@ class StateVector:
     def basis_state(cls, dim: int, index: int) -> "StateVector":
         """The ``index``-th standard basis vector in ``dim`` dimensions."""
         dim = as_dim(dim)
-        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-            raise DomainError(f"basis index must be an integer, got {index!r}")
+        index = as_int(index, "basis index")
         if not 0 <= index < dim:
             raise ShapeError(f"basis index {index} out of range for dim {dim}")
         amp = np.zeros(dim, dtype=complex)

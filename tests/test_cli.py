@@ -789,6 +789,21 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "argument --sign: invalid " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "diag", "--dim", "3", "--alphas", "0.5,x", "--sign", "1",
+          "--phases", "0,0"],
+         "argument --alphas: not a comma-separated number list: '0.5,x'"),
+        (["construct", "flip", "--projectors", STD3_PROJECTORS, "--signs", "1,x,1"],
+         "argument --signs: not a comma-separated integer list: '1,x,1'"),
+    ], ids=["alphas", "signs"])
+    def test_list_that_does_not_parse(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "h2", "--gamma", "45"])

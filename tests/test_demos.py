@@ -1,5 +1,5 @@
 """Every demo script, and the README's quick start, runs to completion with
-warnings turned into errors."""
+warnings turned into errors; the README describes the current version."""
 
 import os
 import re
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import eigenschaft
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -37,3 +39,11 @@ def test_readme_quick_start_runs():
     (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     done = run_python("-c", block)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_states_the_current_version_only():
+    """Earlier versions' changes live in CHANGES.md, not in the README."""
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"^## Changed in (.*)$", readme, re.M) == [
+        eigenschaft.__version__]
+    assert not re.findall(r"^## Removed in ", readme, re.M)

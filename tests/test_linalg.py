@@ -7,9 +7,20 @@ import pytest
 
 from eigenschaft.cli import main
 from eigenschaft.dynamics import TwoLevelSystem
-from eigenschaft.errors import ConvergenceError, DomainError, ShapeError
-from eigenschaft.interferometer import FringeRecord, InterferometerConfig
+from eigenschaft.errors import (
+    ConstructionError,
+    ConvergenceError,
+    DomainError,
+    ShapeError,
+)
+from eigenschaft.interferometer import (
+    FringeRecord,
+    InterferometerConfig,
+    run_interferometer,
+    uniform_sweep,
+)
 from eigenschaft.linalg import (
+    as_dim,
     as_hermitian,
     as_square,
     freeze_fields,
@@ -20,9 +31,11 @@ from eigenschaft.linalg import (
     unitarity_residual,
 )
 from eigenschaft.operators import (
+    DiagSpec,
     EigenschaftOp,
     ProjectorSet,
     algebra_table,
+    from_projector_flip,
     hadamard,
     validate,
 )
@@ -72,6 +85,45 @@ class TestAsHermitian:
         with pytest.raises(DomainError) as exc:
             door(self.SKEW)
         assert str(exc.value) == "not Hermitian: residual 1.000e-07 exceeds 1e-10"
+
+
+#: Each integer argument: its noun, the error it raises, a call that puts
+#: ``x`` through it with every other input valid, and a value it admits.
+INTEGER_DOORS = {
+    "as_dim": ("dim", DomainError, as_dim, 2),
+    "uniform_sweep": ("sweep size", DomainError, uniform_sweep, 8),
+    "basis_state": ("basis index", DomainError,
+                    lambda x: StateVector.basis_state(2, x), 1),
+    "noise seed": ("noise seed", DomainError,
+                   lambda x: run_interferometer(
+                       StateVector.basis_state(2, 0),
+                       InterferometerConfig(hadamard(), [0.0, 1.0], 0.1), x), 9),
+    "DiagSpec.dim": ("dim", ConstructionError,
+                     lambda x: DiagSpec(x, (1 / 3,) * 3, 1, (0.0, 0.0)), 3),
+    "DiagSpec.trace_sign": ("trace_sign", ConstructionError,
+                            lambda x: DiagSpec(3, (1 / 3,) * 3, x, (0.0, 0.0)), 1),
+    "signs": ("signs", DomainError,
+              lambda x: from_projector_flip(ProjectorSet.standard_basis(2), [x, -1]),
+              1),
+}
+
+
+class TestIntegerDoors:
+    @pytest.mark.parametrize("x", [True, 1.5, "1", None], ids=repr)
+    @pytest.mark.parametrize("door", INTEGER_DOORS)
+    def test_refuses_what_is_not_an_integer(self, door, x):
+        """One rule, ``linalg.as_int``, at every integer argument: ``bool``
+        is refused too, as in JSON files."""
+        noun, error, call, _ = INTEGER_DOORS[door]
+        with pytest.raises(error) as exc:
+            call(x)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{noun} must be an integer, got {x!r}"
+
+    @pytest.mark.parametrize("door", INTEGER_DOORS)
+    def test_admits_a_numpy_integer(self, door):
+        _, _, call, valid = INTEGER_DOORS[door]
+        call(np.int64(valid))
 
 
 class TestFreezeFields:

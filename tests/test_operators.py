@@ -388,6 +388,8 @@ class TestProjectorSet:
         ((), "projector set must be non-empty"),
         ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])),
          "projectors must share one dimension"),
+        (5, "projector set must be a sequence of matrices, got 5"),
+        (None, "projector set must be a sequence of matrices, got None"),
     ])
     def test_rejects_malformed_family(self, projectors, message):
         with pytest.raises(ShapeError) as exc:
