@@ -81,4 +81,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -2,7 +2,8 @@
 
 Machine-readable payloads (JSON or CSV) go to stdout; human diagnostics go
 to stderr.  Exit codes: 0 success, 1 domain error (mathematically invalid
-input), 2 usage error (bad flags, unreadable or malformed files).
+input) or an input too large to allocate, 2 usage error (bad flags,
+unreadable or malformed files).
 
 Angles on the command line are degrees; the library works in radians.
 """
@@ -312,6 +313,10 @@ def main(argv=None) -> int:
         return 2
     except EigenschaftError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     sys.stdout.write(payload)
     return code

@@ -32,6 +32,9 @@ AMBIGUOUS_VISIBILITY = 1e-9
 #: How far the fitted visibility may exceed twice the fitted offset before
 #: a fringe is rejected as unphysical; allows shot noise at the percent level.
 UNPHYSICAL_TOL = 0.05
+#: Wrapped sweep phases equal to this many decimals count as one phase in
+#: ``recover_state``'s three-phase gate.
+PHASE_DECIMALS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +181,11 @@ def recover_state(fr: FringeRecord) -> RecoveryResult:
     ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
     """
     phases = fr.phases
-    if np.unique(np.round(wrap_phase(phases), 12)).size < 3:
+    # Three distinct values exist iff one lies strictly between the extremes.
+    # This O(N) test takes -0.0 == 0.0, as a sort does, and avoids
+    # ``np.unique``, which in numpy 2 imports all of ``numpy.ma`` on first use.
+    r = np.round(wrap_phase(phases), PHASE_DECIMALS)
+    if not np.any((r > r.min()) & (r < r.max())):
         raise FitError("need at least 3 distinct sweep phases (mod 2 pi)")
     design = np.column_stack(
         [np.ones(phases.size), np.cos(phases), np.sin(phases)]

@@ -373,6 +373,8 @@ def from_projector_flip(ps: ProjectorSet, signs) -> EigenschaftOp:
     Any assignment of ``+-1`` signs yields a Hermitian involution whose
     trace class is the sum of the signs.
     """
+    if not np.iterable(signs):
+        raise DomainError(f"signs must be a sequence of +1 and -1, got {signs!r}")
     signs = list(signs)
     if len(signs) != ps.dim:
         raise DomainError(

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -511,6 +513,25 @@ class TestSimulate:
         assert err == (f"error: sweep size {count} is more phases than a numpy "
                        "array can hold\n")
 
+    def test_sweep_too_large_to_allocate(self):
+        """A count ``uniform_sweep`` admits but memory cannot hold is one
+        ``error:`` line, not a traceback.  The child's address space is
+        capped at 3 GB, so the 8 TB sweep is never actually attempted."""
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft", "simulate", "--state", EQUAL_STATE,
+             "--phases", "1000000000000"],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_non_integer_seed_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--state", EQUAL_STATE, "--phases", "8", "--seed", "1.5"])
@@ -605,6 +626,56 @@ class TestPipeline:
         assert rebuild.returncode == 0, rebuild.stderr
         m = matrix_from_dict(json.loads(rebuild.stdout))
         assert max_abs(m - np.array([[1, 1], [1, -1]]) / np.sqrt(2)) <= 1e-9
+
+
+class TestColdStart:
+    """Serving one request of every subcommand loads no numpy module that
+    ``import eigenschaft.cli`` did not (``np.unique``, for one, imports all
+    of ``numpy.ma`` on its first call)."""
+
+    REQUESTS = [
+        ["construct", "h2", "--gamma", "45", "--dphi", "0"],
+        ["construct", "diag", "--dim", "3", "--alphas", "0.333333,0.333333,0.333334",
+         "--sign", "1", "--phases", "0,0"],
+        ["construct", "kron", "--a", HADAMARD_OP, "--b", DIAG_OP],
+        ["construct", "flip", "--projectors", STD3_PROJECTORS, "--signs=-1,1,1"],
+        ["validate", HADAMARD_OP, "--strict"],
+        ["convert", "--op", HADAMARD_OP],
+        ["convert", "--projectors", STD3_PROJECTORS],
+        ["decompose", "--op", HADAMARD_OP, "--state", E1_STATE],
+        ["classify", "--rho", RHO_TILDE],
+        ["evolve", "--op", HADAMARD_OP, "--omega1", "1", "--omega2", "2",
+         "--time", "0.5"],
+        ["evolve", "--op", HADAMARD_OP, "--omega1", "1", "--omega2", "2",
+         "--times", "0,0.5,1"],
+        ["simulate", "--state", EQUAL_STATE, "--phases", "16", "--noise", "0"],
+        ["simulate", "--state", EQUAL_STATE, "--phases", "16", "--noise", "0",
+         "--fringes"],
+    ]
+    SERVE = """
+import contextlib, io, json, sys
+import eigenschaft.cli
+
+def numpy_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "numpy"}
+
+before = numpy_modules()
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(eigenschaft.cli.main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(numpy_modules() - before)}))
+"""
+
+    def test_no_numpy_module_loads_after_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SERVE, json.dumps(self.REQUESTS)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0] * len(self.REQUESTS)
+        assert result["loaded"] == []
 
 
 class TestOverflowingNumbers:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenschaft.errors import DomainError, FitError, ShapeError
 from eigenschaft.interferometer import (
@@ -200,6 +202,31 @@ class TestRecoverState:
         fr = run_interferometer(two_arm_state(0.6, 0.8, 0.0), cfg)
         with pytest.raises(FitError):
             recover_state(fr)
+
+    @settings(deadline=None)
+    @given(phases=st.lists(
+        st.sampled_from([0.0, -0.0, np.pi, -np.pi, 0.3]) | st.floats(-10.0, 10.0),
+        min_size=1, max_size=3,
+    ).flatmap(lambda bases: st.lists(st.builds(
+        lambda base, turns, nudge: base + 2 * np.pi * turns + nudge,
+        st.sampled_from(bases),
+        st.integers(-3, 3),
+        st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 4.9999e-13, 5e-13, -5e-13,
+                         5.0001e-13, 1.5e-12, 2.0**-40]),
+    ), min_size=1, max_size=6)))
+    def test_three_phase_gate_counts_as_unique_does(self, phases):
+        """The gate refuses exactly the sweeps whose wrapped phases, rounded
+        to 12 decimals, take fewer than 3 distinct values by ``np.unique``:
+        signed zeros, whole turns apart and nudges at the rounding edge.
+        The example budget is the profile's (tests/conftest.py)."""
+        fr = FringeRecord(phases, np.full(len(phases), 0.5), np.full(len(phases), 0.5))
+        expected = np.unique(np.round(wrap_phase(np.array(phases)), 12)).size < 3
+        try:
+            recover_state(fr)
+            refused = False
+        except FitError as exc:
+            refused = str(exc) == "need at least 3 distinct sweep phases (mod 2 pi)"
+        assert refused == expected
 
     @pytest.mark.parametrize("phases", [
         *(uniform_sweep(n) for n in (3, 4, 7, 16, 39)),

@@ -522,6 +522,12 @@ class TestProjectorRoundtrip:
             with pytest.raises(DomainError):
                 from_projector_flip(ps, signs)
 
+    @pytest.mark.parametrize("signs", [5, None])
+    def test_signs_must_be_a_sequence(self, signs):
+        with pytest.raises(DomainError) as exc:
+            from_projector_flip(ProjectorSet.standard_basis(2), signs)
+        assert str(exc.value) == f"signs must be a sequence of +1 and -1, got {signs!r}"
+
     def test_diag_involution_projectors(self):
         pd = to_projectors(EigenschaftOp.from_matrix(np.diag([1.0, -1.0])))
         by_sign = dict(zip(pd.signs, pd.projectors.projectors))
