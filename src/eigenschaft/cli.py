@@ -84,7 +84,7 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not UTF-8 text: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise UsageError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise UsageError(f"{path} is nested too deeply to parse as JSON")

@@ -13,15 +13,17 @@ an unchecked spectrum.  It serves the positivity gate of
 ``states.DensityMatrix`` and the spectral resolution in
 ``operators.to_projectors``.
 
-Every number the package takes enters through ``as_numeric``, the one
+Every number the package takes enters through ``numeric_array``, the one
 place where outside input meets ``np.asarray``: it refuses anything but an
-evenly nested array of numbers, each finite and at most ``MAX_MAGNITUDE``
-(compared in float64).  ``as_real``, ``as_scalars`` and ``as_square`` are
-that call for real numbers, single numbers and matrices; each door keeps
-what its call returns.  A sum of up to ``1e100`` products of two such
-numbers stays finite, so the arithmetic after the check cannot overflow.
-Integer arguments (dimensions, counts, indices, seeds, signs) pass
-``as_int`` instead.
+evenly nested array of numbers.  ``as_numeric`` adds the bound, each number
+finite and at most ``MAX_MAGNITUDE`` (compared in float64); ``as_real``,
+``as_scalars`` and ``as_square`` are that call for real numbers, single
+numbers and matrices, and each door keeps what its call returns.
+``operators.wrap_phase``, which wraps derived phases past the bound, takes
+``numeric_array`` and checks only that its phases are real and finite.  A
+sum of up to ``1e100`` products of two bounded numbers stays finite, so the
+arithmetic after the check cannot overflow.  Integer arguments (dimensions,
+counts, indices, seeds, signs) pass ``as_int`` instead.
 """
 
 from __future__ import annotations
@@ -46,19 +48,25 @@ TOL_INV = 1e-10
 MAX_MAGNITUDE = 1e100
 
 
-def as_numeric(a, noun: str, error=DomainError) -> np.ndarray:
-    """``np.asarray(a)``, refused with ``error`` naming ``noun`` if it holds
-    a non-number or unevenly nested sequences (before any cast could read
-    ``"0.5"`` as a number or fail with numpy's error), or an entry not finite
-    or past ``MAX_MAGNITUDE``.  That bound is compared in float64 before any
-    cast: it overflows a float32, and a longdouble past float64's range is
-    refused, not cast to inf."""
+def numeric_array(a, noun: str, error=DomainError) -> np.ndarray:
+    """``np.asarray(a)``, refused as ``{noun} must be numeric`` with
+    ``error`` if it holds a non-number or unevenly nested sequences, before
+    any cast could read ``"0.5"`` as a number or fail with numpy's error."""
     try:
         a = np.asarray(a)
     except ValueError:
         raise error(f"{noun} must be numeric") from None
     if a.dtype.kind not in "biufc":
         raise error(f"{noun} must be numeric")
+    return a
+
+
+def as_numeric(a, noun: str, error=DomainError) -> np.ndarray:
+    """:func:`numeric_array`, refused with ``error`` naming ``noun`` if an
+    entry is not finite or is past ``MAX_MAGNITUDE``.  That bound is
+    compared in float64 before any cast: it overflows a float32, and a
+    longdouble past float64's range is refused, not cast to inf."""
+    a = numeric_array(a, noun, error)
     if not max_abs(a) <= MAX_MAGNITUDE:
         raise error(
             f"{noun} must be finite and at most {MAX_MAGNITUDE:g} in magnitude"

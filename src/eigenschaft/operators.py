@@ -24,6 +24,7 @@ of the independent ones (not merely differences modulo pi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ from .linalg import (
     hermiticity_residual,
     involution_residual,
     max_abs,
+    numeric_array,
     unitarity_residual,
 )
 
@@ -54,12 +56,32 @@ EXPRESSIBLE_TOL = 1e-9
 #: A trace or eigenvalue must lie this close to the integer it stands for:
 #: an involution's trace class, a projector's unit trace, the +-1 spectrum.
 TOL_SPECTRUM = 1e-8
+#: ``DiagSpec`` admits alphas whose sum lies this close to the trace,
+#: ``trace_sign`` times 1 (dimension 3) or 2 (dimension 4).
+DIAG_SUM_TOL = 1e-12
+#: ``validate`` marks the trace class suspect when the trace lies farther
+#: than this from it.
+TRACE_CLASS_SUSPECT = 1e-6
 
 
 def wrap_phase(x):
-    """Wrap angle(s) to the half-open interval (-pi, pi]."""
-    wrapped = np.pi - np.mod(np.pi - np.asarray(x, dtype=float), 2.0 * np.pi)
-    if np.ndim(x) == 0:
+    """Wrap angle(s) to the half-open interval (-pi, pi].
+
+    Takes any finite real number or evenly nested array of them, with no
+    bound on the magnitude (a phase derived from admitted inputs can pass
+    ``MAX_MAGNITUDE``).  Anything else is refused with ``DomainError``:
+    ``phase must be numeric`` for non-numbers and unevenly nested
+    sequences, ``phase must be real`` for complex input and ``phase must
+    be finite`` for NaN and infinities.
+    """
+    a = numeric_array(x, "phase")
+    if a.dtype.kind == "c":
+        raise DomainError("phase must be real")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise DomainError("phase must be finite")
+    wrapped = np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+    if a.ndim == 0:
         return float(wrapped)
     return wrapped
 
@@ -276,9 +298,14 @@ def build_h2(params: H2Params) -> EigenschaftOp:
     return EigenschaftOp.from_matrix(m)
 
 
+@functools.cache
 def hadamard() -> EigenschaftOp:
     """The symmetric traceless involution ``[[1, 1], [1, -1]] / sqrt(2)``,
-    i.e. the lossless 50/50 beam-splitter matrix."""
+    i.e. the lossless 50/50 beam-splitter matrix.
+
+    The operator is built and gated on the first call and shared by every
+    later call in the process; it is frozen and its matrix is read-only.
+    """
     return build_h2(H2Params(gamma_angle=np.pi / 4.0, delta_phi=0.0))
 
 
@@ -331,7 +358,7 @@ class DiagSpec:
                 raise ConstructionError(f"|alpha_{i + 1}| <= 1 violated (got {a!r})")
         target = float(self.trace_sign) * (1.0 if self.dim == 3 else 2.0)
         total = sum(alphas)
-        if abs(total - target) > 1e-12:
+        if abs(total - target) > DIAG_SUM_TOL:
             raise ConstructionError(
                 f"sum(alphas) must equal trace_sign * "
                 f"{1 if self.dim == 3 else 2} = {target:g} (got {total!r})"
@@ -598,6 +625,6 @@ def validate(matrix) -> ValidationReport:
         trace=trace,
         trace_class=tc,
         trace_class_distance=float(dist),
-        trace_class_suspect=bool(dist > 1e-6),
+        trace_class_suspect=bool(dist > TRACE_CLASS_SUSPECT),
         relation_residuals=relations,
     )

@@ -33,6 +33,11 @@ TOL_NORM = 1e-10
 DISPERSION_EPS = 1e-12
 #: Eigenvalue floor for positive semidefiniteness of density matrices.
 PSD_FLOOR = -1e-10
+#: ``classify`` calls a state pure when its purity lies this close to 1.
+PURITY_TOL = 1e-10
+#: ``superpose`` refuses a combination whose norm is at most this times
+#: ``|c1| + |c2|``, its largest possible norm.
+CANCEL_EPS = 1e-12
 
 
 def _as_amplitudes(values) -> np.ndarray:
@@ -126,14 +131,15 @@ def superpose(c1: complex, s1: StateVector, c2: complex, s2: StateVector) -> Sta
     """Normalized linear combination ``c1*s1 + c2*s2``.
 
     Raises ``DomainError`` when the two terms cancel: the combination's
-    norm is at most ``1e-12 * (|c1| + |c2|)``, its largest possible norm.
+    norm is at most ``CANCEL_EPS * (|c1| + |c2|)``, its largest possible
+    norm.
     """
     if s1.dim != s2.dim:
         raise ShapeError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     c1, c2 = as_scalars((c1, c2), "coefficients", as_numeric)
     combo = c1 * s1.amplitudes + c2 * s2.amplitudes
     norm = float(np.linalg.norm(combo))
-    if norm <= 1e-12 * (abs(c1) + abs(c2)):
+    if norm <= CANCEL_EPS * (abs(c1) + abs(c2)):
         raise DomainError("degenerate superposition: the components cancel")
     return StateVector(combo / norm)
 
@@ -203,5 +209,5 @@ def classify(rho: DensityMatrix | np.ndarray) -> Classification:
     purity = float(np.trace(m @ m).real)
     tr = float(np.trace(m).real)
     dispersion = purity - tr * tr
-    kind = "pure" if abs(purity - 1.0) <= 1e-10 else "mixture"
+    kind = "pure" if abs(purity - 1.0) <= PURITY_TOL else "mixture"
     return Classification(kind=kind, purity=purity, rho_dispersion=dispersion)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -732,6 +735,18 @@ class TestUnreadableInput:
         assert message.encode() in proc.stderr
 
 
+def test_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):
+    """Past ``sys.get_int_max_str_digits()`` (4300 digits by default),
+    ``json.loads`` raises a plain ``ValueError``, which escaped as a
+    traceback; it is invalid JSON like any other text that does not parse."""
+    f = tmp_path / "digits.json"
+    f.write_text('{"dim": 1, "entries": [[%s, 0]]}' % ("1" * 5000))
+    code, out, err = run_cli(capsys, "validate", str(f))
+    assert (code, out) == (2, "")
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert err.startswith(f"error: {f} is not valid JSON: Exceeds the limit")
+
+
 class TestNearFloatLimit:
     """Numbers above ``MAX_MAGNITUDE``, up to the float limit, are refused
     where they enter: the message names the caller's argument and is the
@@ -879,3 +894,113 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "h2", "--gamma", "45"])
         assert exc.value.code == 2
+
+
+class TestSharedSplitter:
+    """``simulate`` without ``--splitter`` takes the one 50/50 splitter
+    ``hadamard()`` builds on its first call."""
+
+    ARGV = ["simulate", "--state", EQUAL_STATE, "--phases", "16", "--noise", "0",
+            "--seed", "1"]
+
+    def test_built_once_and_read_only(self):
+        assert hadamard() is hadamard()
+        assert not hadamard().matrix.flags.writeable
+
+    def test_two_requests_match_the_golden(self, capsys):
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *self.ARGV)
+            assert (code, err) == (0, "")
+            assert out == golden("simulate_noiseless.json")
+
+
+#: Every form that reads a file, with ``{}`` for the file the property
+#: writes; every other argument is fixed and valid.
+FILE_FORMS = {
+    "validate": ["validate", "{}"],
+    "classify": ["classify", "--rho", "{}"],
+    "decompose-op": ["decompose", "--op", "{}", "--state", E1_STATE],
+    "decompose-state": ["decompose", "--op", HADAMARD_OP, "--state", "{}"],
+    "convert-op": ["convert", "--op", "{}"],
+    "convert-flip": ["convert", "--projectors", "{}", "--family", "flip"],
+    "convert-traceless": ["convert", "--projectors", "{}", "--family", "traceless"],
+    "kron-a": ["construct", "kron", "--a", "{}", "--b", DIAG_OP],
+    "kron-b": ["construct", "kron", "--a", HADAMARD_OP, "--b", "{}"],
+    "flip": ["construct", "flip", "--projectors", "{}", "--signs=-1,1,1"],
+    "evolve": ["evolve", "--op", "{}", "--omega1", "1", "--omega2", "2",
+               "--time", "0.5"],
+    "simulate": ["simulate", "--state", "{}", "--phases", "16", "--noise", "0"],
+}
+
+NUMBERS = (st.floats() | st.integers()
+           | st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 0.7071067811865476,
+                              1e100, -1e101, 1e308, 5e-324, 2**64, 10**400]))
+LEAVES = st.none() | st.booleans() | NUMBERS | st.text(max_size=4)
+KEYS = st.sampled_from(["dim", "entries", "amplitudes", "projectors",
+                        "trace_class"]) | st.text(max_size=4)
+ANY_JSON = st.recursive(
+    LEAVES, lambda items: st.lists(items, max_size=4)
+    | st.dictionaries(KEYS, items, max_size=5), max_leaves=20)
+
+
+def _payload(dim, count, key, extra):
+    """A wire-format object of ``dim`` with ``count`` pairs under ``key``."""
+    pairs = st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
+                     min_size=count, max_size=count)
+    return st.fixed_dictionaries({"dim": st.just(dim), key: pairs}, optional=extra)
+
+
+def _shaped(dim):
+    """A matrix, state or projector-set object of ``dim``."""
+    matrix = _payload(dim, dim * dim, "entries",
+                      {"trace_class": st.integers(-4, 4) | LEAVES})
+    state = _payload(dim, dim, "amplitudes", {})
+    projectors = st.fixed_dictionaries({
+        "dim": st.just(dim),
+        "projectors": st.lists(_payload(dim, dim * dim, "entries", {}),
+                               min_size=dim, max_size=dim)})
+    return matrix | state | projectors
+
+
+def _mutated(value, k, x):
+    """``value`` with its ``k``-th leaf, in document order, replaced by
+    ``x``; unchanged when it has no more than ``k`` leaves."""
+    seen = []
+
+    def walk(v):
+        if isinstance(v, list):
+            return [walk(item) for item in v]
+        if isinstance(v, dict):
+            return {key: walk(item) for key, item in v.items()}
+        seen.append(v)
+        return x if len(seen) == k + 1 else v
+
+    return walk(value)
+
+
+VALID = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
+#: Any JSON value; an object shaped like a payload, with arbitrary numbers;
+#: or a file of tests/data with at most one leaf replaced.  The last two get
+#: examples past the reader, into the gates and the writers.
+JSON = (ANY_JSON | st.integers(1, 3).flatmap(_shaped)
+        | st.builds(_mutated, st.sampled_from(VALID), st.integers(0, 40), LEAVES))
+
+
+@pytest.mark.parametrize("form", FILE_FORMS)
+@settings(deadline=None)
+@given(content=st.binary(max_size=64) | JSON.map(lambda v: json.dumps(v).encode()))
+def test_any_input_file_exits_cleanly(form, content):
+    """Whatever the input file holds, ``cli.main`` returns 0, 1 or 2 and
+    raises nothing, and writes to stdout only when it returns 0.  The
+    example budget is the profile's (tests/conftest.py)."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        argv = [a.format(path) for a in FILE_FORMS[form]]
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or out.getvalue() == ""

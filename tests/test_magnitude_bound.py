@@ -34,6 +34,7 @@ from eigenschaft.operators import (
     build_h2,
     hadamard,
     validate,
+    wrap_phase,
 )
 from eigenschaft.serialize import dumps, matrix_to_dict
 from eigenschaft.states import StateVector, decompose_state, superpose
@@ -432,7 +433,13 @@ NESTED = st.builds(typed, st.recursive(
     max_leaves=8), TYPES)
 
 
-@pytest.mark.parametrize("door", DOORS)
+#: The calls of ``DOORS``, and ``wrap_phase``, whose door has no magnitude
+#: bound: a phase derived from admitted inputs can pass ``MAX_MAGNITUDE``.
+DOOR_CALLS = {**{door: entry[3] for door, entry in DOORS.items()},
+              "wrap_phase": wrap_phase}
+
+
+@pytest.mark.parametrize("door", DOOR_CALLS)
 @settings(deadline=None)
 @given(x=NESTED)
 def test_door_fails_only_in_its_own_terms(door, x):
@@ -440,6 +447,6 @@ def test_door_fails_only_in_its_own_terms(door, x):
     ``EigenschaftError``; never a numpy or builtin error, nor a warning.
     The example budget is the profile's (tests/conftest.py)."""
     try:
-        DOORS[door][3](x)
+        DOOR_CALLS[door](x)
     except EigenschaftError:
         pass

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from eigenschaft.dynamics import TwoLevelSystem, beat_trace
 from eigenschaft.errors import ConstructionError, DomainError, ShapeError
 from eigenschaft.linalg import (
     TOL_HERM,
@@ -987,3 +988,24 @@ class TestWrapPhase:
     def test_array_input(self):
         out = wrap_phase(np.array([0.0, 2 * np.pi, -2 * np.pi]))
         assert np.allclose(out, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("x, message", [
+        (None, "numeric"), ("x", "numeric"), ([0.0, [1.0]], "numeric"),
+        (1j, "real"), (float("inf"), "finite"), (np.array([0.0, np.nan]), "finite"),
+    ], ids=["None", "string", "ragged", "complex", "inf", "nan-in-array"])
+    def test_refused_in_its_own_terms(self, x, message):
+        """``None`` gave ``nan``, a string numpy's ``ValueError``, a complex
+        number ``TypeError`` and an infinity a ``RuntimeWarning``."""
+        with pytest.raises(DomainError) as exc:
+            wrap_phase(x)
+        assert str(exc.value) == f"phase must be {message}"
+
+    def test_every_finite_real_is_admitted(self):
+        """Past ``MAX_MAGNITUDE`` too: ``beat_trace`` wraps the detuning
+        times the time, up to ``2e200``."""
+        largest = np.finfo(float).max
+        out = wrap_phase(np.array([2e200, largest, -largest, 5e-324]))
+        assert np.all((-np.pi < out) & (out <= np.pi))
+        assert (wrap_phase(True), wrap_phase(np.float32(0.5))) == (1.0, 0.5)
+        (sample,) = beat_trace(TwoLevelSystem(1e100, -1e100, hadamard()), [1e100])
+        assert sample.delta_phi == wrap_phase(2e200)
