@@ -47,18 +47,15 @@ class UsageError(Exception):
     """Command-level usage problem; maps to exit code 2."""
 
 
-def _csv_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
-
-
-def _csv_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+def _csv(convert, noun: str):
+    """The argument type of a comma-separated list of ``convert`` items."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {noun} list: {text!r}")
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -116,8 +113,7 @@ def _cmd_construct_kron(args) -> tuple[str, int]:
     if args.member is not None:
         op = family[_KRON_MEMBERS[args.member]]
         return serialize.dumps(serialize.op_to_dict(op)), 0
-    payload = {"members": [serialize.op_to_dict(op) for op in family]}
-    return serialize.dumps(payload), 0
+    return serialize.dumps(serialize.family_to_dict(family)), 0
 
 
 def _cmd_construct_flip(args) -> tuple[str, int]:
@@ -148,9 +144,8 @@ def _cmd_convert(args) -> tuple[str, int]:
             serialize.projector_decomposition_to_dict(decomposition)
         ), 0
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
-    members = complement_family(ps, kind=args.family)
-    payload = {"members": [serialize.op_to_dict(op) for op in members]}
-    return serialize.dumps(payload), 0
+    family = complement_family(ps, kind=args.family)
+    return serialize.dumps(serialize.family_to_dict(family)), 0
 
 
 def _cmd_decompose(args) -> tuple[str, int]:
@@ -220,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         "diag", help="dimension-3/4 operator from its prescribed diagonal"
     )
     diag.add_argument("--dim", type=int, choices=(3, 4), required=True)
-    diag.add_argument("--alphas", type=_csv_floats, required=True,
+    diag.add_argument("--alphas", type=_csv(float, "number"), required=True,
                       help="comma-separated diagonal entries")
     diag.add_argument("--sign", type=int, choices=(1, -1), required=True,
                       help="trace sign branch, +1 or -1")
-    diag.add_argument("--phases", type=_csv_floats, required=True,
+    diag.add_argument("--phases", type=_csv(float, "number"), required=True,
                       help="comma-separated free phases, degrees")
     diag.set_defaults(handler=_cmd_construct_diag)
 
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "flip", help="signed sum over a projector-set JSON file"
     )
     flip.add_argument("--projectors", required=True)
-    flip.add_argument("--signs", type=_csv_ints, required=True,
+    flip.add_argument("--signs", type=_csv(int, "integer"), required=True,
                       help="comma-separated +1/-1 signs (use --signs=-1,... )")
     flip.set_defaults(handler=_cmd_construct_flip)
 
@@ -279,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--omega1", type=float, required=True)
     evo.add_argument("--omega2", type=float, required=True)
     evo.add_argument("--time", type=float, help="single time: evolved operator JSON")
-    evo.add_argument("--times", type=_csv_floats,
+    evo.add_argument("--times", type=_csv(float, "number"),
                      help="comma-separated times: beat-trace CSV")
     evo.set_defaults(handler=_cmd_evolve)
 
@@ -324,7 +319,3 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry_point()

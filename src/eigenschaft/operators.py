@@ -24,7 +24,6 @@ of the independent ones (not merely differences modulo pi).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -298,15 +297,17 @@ def build_h2(params: H2Params) -> EigenschaftOp:
     return EigenschaftOp.from_matrix(m)
 
 
-@functools.cache
+_HADAMARD = build_h2(H2Params(gamma_angle=np.pi / 4.0, delta_phi=0.0))
+
+
 def hadamard() -> EigenschaftOp:
     """The symmetric traceless involution ``[[1, 1], [1, -1]] / sqrt(2)``,
     i.e. the lossless 50/50 beam-splitter matrix.
 
-    The operator is built and gated on the first call and shared by every
-    later call in the process; it is frozen and its matrix is read-only.
+    The operator is built and gated once, when this module loads, and every
+    call returns it; it is frozen and its matrix is read-only.
     """
-    return build_h2(H2Params(gamma_angle=np.pi / 4.0, delta_phi=0.0))
+    return _HADAMARD
 
 
 def h2_elements(op: EigenschaftOp) -> H2Elements:

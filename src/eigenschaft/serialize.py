@@ -255,6 +255,11 @@ def op_to_dict(op: EigenschaftOp) -> dict:
     return out
 
 
+def family_to_dict(ops) -> dict:
+    """An operator family as ``{"members": [<operator>, ...]}``, in order."""
+    return {"members": [op_to_dict(op) for op in ops]}
+
+
 def op_from_dict(d) -> EigenschaftOp:
     """Parse an operator payload and admit it through
     :meth:`EigenschaftOp.from_matrix`.

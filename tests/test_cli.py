@@ -898,7 +898,7 @@ class TestUsageErrors:
 
 class TestSharedSplitter:
     """``simulate`` without ``--splitter`` takes the one 50/50 splitter
-    ``hadamard()`` builds on its first call."""
+    ``hadamard()`` returns."""
 
     ARGV = ["simulate", "--state", EQUAL_STATE, "--phases", "16", "--noise", "0",
             "--seed", "1"]

@@ -214,6 +214,9 @@ DOORS = {
     "evolve_h2": ("time", DomainError, False, lambda x: evolve_h2(_system(), x)),
     "beat_trace": ("time samples", DomainError, False,
                    lambda x: beat_trace(_system(), [0.0, x])),
+    "ProjectorSet": ("matrix entries", DomainError, True,
+                     lambda x: ProjectorSet(([[1.0, x], [0.0, 0.0]],
+                                             [[0.0, 0.0], [0.0, 1.0]]))),
 }
 
 
@@ -238,6 +241,8 @@ def narrow_calls(t):
         "TwoLevelSystem": lambda: TwoLevelSystem(t(1.0), t(0.5), hadamard()),
         "evolve_h2": lambda: evolve_h2(_system(), t(0.5)),
         "beat_trace": lambda: beat_trace(_system(), np.linspace(0.0, 1.0, 4, dtype=t)),
+        "ProjectorSet": lambda: ProjectorSet(
+            tuple(np.diag(row) for row in np.eye(2, dtype=t))),
     }
 
 

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +237,35 @@ class TestBuildH2:
                 assert el.alpha**2 + el.beta**2 == pytest.approx(1.0, abs=1e-15)
                 assert abs(np.trace(op.matrix)) <= 1e-15
                 assert involution_residual(op.matrix) <= 1e-15
+
+
+class TestHadamard:
+    #: Counts every ``EigenschaftOp.from_matrix`` call after the import.
+    FIRST_CALL = """
+import eigenschaft.operators as operators
+
+real = operators.EigenschaftOp.from_matrix.__func__
+calls = []
+
+def counted(cls, m):
+    calls.append(1)
+    return real(cls, m)
+
+operators.EigenschaftOp.from_matrix = classmethod(counted)
+ops = [operators.hadamard() for _ in range(3)]
+assert all(op is ops[0] for op in ops), "hadamard() returned a new operator"
+assert not ops[0].matrix.flags.writeable, "the matrix is writeable"
+print(len(calls))
+"""
+
+    def test_built_when_the_module_loads(self):
+        """A first call in a fresh interpreter builds and gates nothing, so a
+        traced request counts the same work whichever request comes first;
+        every call returns the one read-only operator."""
+        proc = subprocess.run([sys.executable, "-c", self.FIRST_CALL],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestH2Elements:

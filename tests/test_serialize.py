@@ -20,6 +20,7 @@ from eigenschaft.linalg import MAX_MAGNITUDE, max_abs
 from eigenschaft.operators import (
     EigenschaftOp,
     ProjectorSet,
+    build_kron_family,
     complement_family,
     hadamard,
     to_projectors,
@@ -122,6 +123,25 @@ class TestOperatorFormat:
         d = _wire(serialize.matrix_to_dict(np.diag([1.0 + 1e-7, -1.0 - 1e-7])))
         with pytest.raises(DomainError, match="not an involution"):
             serialize.op_from_dict(d)
+
+
+class TestFamilyFormat:
+    @pytest.mark.parametrize("family", ["flip", "traceless", "kron"])
+    def test_members_read_back_bit_for_bit(self, family):
+        rng = np.random.default_rng(7)
+        if family == "kron":
+            a, b = (EigenschaftOp.from_matrix(random_involution(2, rng, 0))
+                    for _ in range(2))
+            ops = build_kron_family(a, b)
+        else:
+            ps = ProjectorSet.from_columns(haar_unitary(4, rng))
+            ops = complement_family(ps, kind=family)
+        members = _wire(serialize.family_to_dict(ops))["members"]
+        assert len(members) == len(ops)
+        for item, op in zip(members, ops):
+            back = serialize.op_from_dict(item)
+            assert back.matrix.tobytes() == op.matrix.tobytes()
+            assert back.trace_class == op.trace_class
 
 
 class TestProjectorSetFormat:
