@@ -18,12 +18,10 @@ arrays.  Its output is byte-identical to ``json.dumps(payload, indent=2,
 allow_nan=False, default=np.ndarray.tolist)`` plus a trailing newline; a
 non-string key raises ``TypeError`` and a non-finite float ``ValueError``.
 ``float.__repr__`` is the only float formatter, and most of the writer's
-time.  Every matrix the package writes is Hermitian, so entry (j, i)
-repeats the magnitudes of entry (i, j): an array's text is built from the
-``repr`` of each distinct magnitude, found by one argsort, with ``"-"`` in
-front of each number whose sign bit is set.  Each array's text is one
-string in the output list until :func:`dumps` joins the list.  A matrix is
-read by one ``np.fromiter`` over its numbers.
+time.  Every matrix the package writes is Hermitian, so :func:`_emit_array`
+formats each distinct magnitude of an array once.  A matrix is read by one
+``np.fromiter`` over its numbers.  CSV numbers are ``float.__repr__`` of
+Python floats, written in one formatting pass.
 """
 
 from __future__ import annotations
@@ -341,18 +339,20 @@ def holographic_report_to_dict(report: HolographicReport) -> dict:
     return {name: dict(vars(part)) for name, part in vars(report).items()}
 
 
+def _csv_text(header: str, values: list) -> str:
+    """``header``, then ``values``, Python floats in row-major order under the
+    header's columns, a row per line, in one ``%`` format."""
+    cols = header.count(",") + 1
+    line = "%r," * (cols - 1) + "%r\n"
+    return (header + "\n" + line * (len(values) // cols)) % tuple(values)
+
+
 def beat_trace_csv(samples: list[BeatSample]) -> str:
-    """CSV with columns ``t,delta_phi``."""
-    lines = ["t,delta_phi"]
-    lines += [f"{s.t!r},{s.delta_phi!r}" for s in samples]
-    return "\n".join(lines) + "\n"
+    """CSV with columns ``t,delta_phi``; each value is written as a float."""
+    return _csv_text("t,delta_phi", [*map(float, chain.from_iterable(samples))])
 
 
 def fringe_csv(fr: FringeRecord) -> str:
     """CSV with columns ``phi,I1,I2``."""
-    lines = ["phi,I1,I2"]
-    lines += [
-        f"{float(p)!r},{float(a)!r},{float(b)!r}"
-        for p, a, b in zip(fr.phases, fr.intensity_port1, fr.intensity_port2)
-    ]
-    return "\n".join(lines) + "\n"
+    return _csv_text("phi,I1,I2", np.stack(
+        (fr.phases, fr.intensity_port1, fr.intensity_port2), axis=1).ravel().tolist())

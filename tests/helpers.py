@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and references for the test suite.
 
 Random involutions are built the canonical way: draw a Haar unitary, take
 rank-1 projectors onto its columns, and flip a subset of signs.  The
@@ -49,3 +49,10 @@ def random_involution(n: int, rng: np.random.Generator,
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
     return amp / np.linalg.norm(amp)
+
+
+def csv_reference(header: str, rows) -> str:
+    """The CSV text written row by row: ``float.__repr__`` of each value,
+    joined by commas, one line per row."""
+    return header + "\n" + "".join(
+        ",".join(map(float.__repr__, row)) + "\n" for row in rows)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,9 +41,11 @@ from eigenschaft.serialize import (
     matrix_to_dict,
     op_to_dict,
     state_from_dict,
+    state_to_dict,
 )
+from eigenschaft.states import StateVector
 
-from helpers import random_hermitian, random_involution
+from helpers import csv_reference, random_hermitian, random_involution
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -561,6 +564,27 @@ class TestSimulate:
         state = state_from_dict(json.loads(Path(EQUAL_STATE).read_text()))
         assert out == fringe_csv(run_interferometer(state, cfg))
 
+    @pytest.mark.parametrize("arms", ["equal", "near", "random"])
+    def test_largest_sweep_matches_the_per_row_reference(self, capsys, tmp_path,
+                                                          arms):
+        """A 65 536-phase fringe, the largest the benchmark serves, is the
+        per-row CSV text of the library's fringe, byte for byte."""
+        rng = np.random.default_rng(65536)
+        p = {"equal": 0.5, "near": (1.0 + 1e-6) / 2.0, "random": 0.3}[arms]
+        phases = [0.0, 0.0] if arms == "equal" else rng.uniform(-np.pi, np.pi, 2)
+        state = StateVector(np.array([math.sqrt(p), math.sqrt(1.0 - p)])
+                            * np.exp(1j * np.asarray(phases)))
+        path = tmp_path / "state.json"
+        path.write_text(dumps(state_to_dict(state)))
+        code, out, err = run_cli(capsys, "simulate", "--state", str(path),
+                                 "--phases", "65536", "--fringes")
+        assert (code, err) == (0, "")
+        fr = run_interferometer(state, InterferometerConfig(
+            splitter=hadamard(), sweep_phases=uniform_sweep(65536)))
+        rows = zip(fr.phases.tolist(), fr.intensity_port1.tolist(),
+                   fr.intensity_port2.tolist())
+        assert out == csv_reference("phi,I1,I2", rows)
+
 
 class TestPipeline:
     """construct | validate --strict must pass for every builder."""
@@ -1004,3 +1028,95 @@ def test_any_input_file_exits_cleanly(form, content):
             code = main(argv)
     assert code in (0, 1, 2)
     assert code == 0 or out.getvalue() == ""
+
+
+#: Option values for the argv property.  Files are the valid tests/data
+#: payloads, stdin (``-``, which holds one of them) and a missing path;
+#: numbers are argparse's text of edge, ordinary and malformed values.
+ARG_FILES = st.sampled_from(
+    [str(path) for path in sorted(DATA.glob("*.json"))]
+    + ["-", str(DATA / "missing.json")])
+ARG_NUMBERS = (st.integers(-3, 3).map(str) | st.floats(-360.0, 360.0).map(repr)
+               | st.floats().map(repr)
+               | st.sampled_from(["-0", "1e-300", "1e300", "1e400", "nan", "-inf", "",
+                                  "x", "0x10", "1_0", str(2**64)]))
+#: At most six items, so that a list never asks for a large allocation;
+#: half the lists hold only numbers that parse.
+ARG_LISTS = st.lists(st.sampled_from(["1", "-1"]) | st.floats(-360.0, 360.0).map(repr),
+                     min_size=1, max_size=6).map(",".join) | st.lists(
+                         ARG_NUMBERS, max_size=6).map(",".join)
+#: At most 1024 phases: the property never reaches the unallocatable sweep,
+#: which has its own test in a capped address space.
+ARG_PHASES = st.integers(-2, 1024).map(str) | st.sampled_from(["1.5", "x", "", "1e3"])
+ARG_SEEDS = st.integers(-2, 2**70).map(str) | st.sampled_from(["1.5", "x", ""])
+#: Each subcommand's options; ``None`` marks a flag that takes no value.
+ARGV_FORMS = {
+    "construct h2": {"--gamma": ARG_NUMBERS, "--dphi": ARG_NUMBERS},
+    "construct diag": {"--dim": st.sampled_from(["3", "4", "2"]),
+                       "--alphas": ARG_LISTS,
+                       "--sign": st.sampled_from(["1", "-1", "0"]),
+                       "--phases": ARG_LISTS},
+    "construct kron": {"--a": ARG_FILES, "--b": ARG_FILES,
+                       "--member": st.sampled_from(["ib", "ai", "ab", "ba"])},
+    "construct flip": {"--projectors": ARG_FILES, "--signs": ARG_LISTS},
+    "validate": {"": ARG_FILES, "--strict": None},
+    "convert": {"--op": ARG_FILES, "--projectors": ARG_FILES,
+                "--family": st.sampled_from(["flip", "traceless", "kron"])},
+    "decompose": {"--op": ARG_FILES, "--state": ARG_FILES},
+    "classify": {"--rho": ARG_FILES},
+    "evolve": {"--op": ARG_FILES, "--omega1": ARG_NUMBERS, "--omega2": ARG_NUMBERS,
+               "--time": ARG_NUMBERS, "--times": ARG_LISTS},
+    "simulate": {"--state": ARG_FILES, "--phases": ARG_PHASES,
+                 "--noise": ARG_NUMBERS, "--seed": ARG_SEEDS, "--splitter": ARG_FILES,
+                 "--fringes": None},
+}
+
+
+@st.composite
+def argvs(draw, form: str) -> list[str]:
+    """The words of ``form``, then its options in any order, each left
+    out one time in four, each value as a separate word or after ``=``, and
+    one time in five a word in a place the parser does not expect."""
+    options = ARGV_FORMS[form]
+    argv = form.split()
+    for flag in draw(st.permutations(list(options))):
+        if draw(st.integers(0, 3)) == 3:
+            continue
+        values = options[flag]
+        if values is None:
+            argv.append(flag)
+        elif not flag:
+            argv.append(draw(values))
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+        else:
+            argv += [flag, draw(values)]
+    if draw(st.integers(0, 4)) == 4:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "extra", "-h", "--"])))
+    return argv
+
+
+@pytest.mark.parametrize("form", ARGV_FORMS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_cleanly(form, data):
+    """Whatever the options, ``cli.main`` exits 0, 1 or 2 (argparse's own
+    exits arrive as ``SystemExit``), prints no traceback, and writes to
+    stdout only when it exits 0, or when ``validate --strict`` prints the
+    report of a matrix its gate refuses.  The example budget is the
+    profile's."""
+    argv = data.draw(argvs(form), label="argv")
+    stdin = Path(data.draw(st.sampled_from(sorted(DATA.glob("*.json"))),
+                           label="stdin")).read_text()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    refused = code == 1 and err.getvalue().startswith("strict gate failed: ")
+    assert code == 0 or refused or out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -33,7 +33,13 @@ from eigenschaft.states import (
     decompose_state,
 )
 
-from helpers import haar_unitary, random_hermitian, random_involution, random_state
+from helpers import (
+    csv_reference,
+    haar_unitary,
+    random_hermitian,
+    random_involution,
+    random_state,
+)
 
 
 def _wire(payload):
@@ -462,6 +468,44 @@ class TestArrayWriter:
     def test_other_arrays_are_refused(self, a):
         with pytest.raises(TypeError, match="^an array payload is 2-d float64"):
             serialize.dumps({"entries": a})
+
+
+#: Numbers at the edges of ``float.__repr__``: both zeros, subnormals, the
+#: smallest normal, the neighbours of the switches to exponent form at 1e16
+#: and 1e-4 (1e-5 is the first power of ten past it), and the package's bound.
+CSV_EDGES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             9999999999999998.0, 1e16, 1.0000000000000002e16,
+             9.999999999999999e-05, 1e-4, 1e-5, 0.1, 1 / 3, MAX_MAGNITUDE]
+CSV_MAGNITUDES = (st.sampled_from(CSV_EDGES)
+                  | st.floats(0.0, MAX_MAGNITUDE, allow_subnormal=True))
+CSV_NUMBERS = st.builds(lambda x, flip: -x if flip else x,
+                        CSV_MAGNITUDES, st.booleans())
+
+
+class TestCsvByteIdentity:
+    """The CSV writers format every number in one pass; the text must be
+    the per-row reference's, byte for byte."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(CSV_NUMBERS, CSV_MAGNITUDES, CSV_MAGNITUDES),
+                    min_size=1, max_size=64))
+    def test_fringe_csv(self, rows):
+        columns = np.array(rows).T
+        fr = FringeRecord(phases=columns[0], intensity_port1=columns[1],
+                          intensity_port2=columns[2])
+        assert serialize.fringe_csv(fr) == csv_reference("phi,I1,I2", rows)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(CSV_NUMBERS, CSV_NUMBERS), max_size=64))
+    def test_beat_trace_csv(self, rows):
+        samples = [BeatSample(t, p) for t, p in rows]
+        assert serialize.beat_trace_csv(samples) == csv_reference("t,delta_phi", rows)
+
+    def test_beat_samples_are_written_as_floats(self):
+        samples = [BeatSample(np.float64(0.5), np.float64(-1.25)),
+                   BeatSample(1, 2), BeatSample(-3, np.float64(-0.0))]
+        assert serialize.beat_trace_csv(samples) == (
+            "t,delta_phi\n0.5,-1.25\n1.0,2.0\n-3.0,-0.0\n")
 
 
 class TestReaderBitExactness:
