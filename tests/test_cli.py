@@ -1042,9 +1042,9 @@ ARG_NUMBERS = (st.integers(-3, 3).map(str) | st.floats(-360.0, 360.0).map(repr)
                                   "x", "0x10", "1_0", str(2**64)]))
 #: At most six items, so that a list never asks for a large allocation;
 #: half the lists hold only numbers that parse.
-ARG_LISTS = st.lists(st.sampled_from(["1", "-1"]) | st.floats(-360.0, 360.0).map(repr),
-                     min_size=1, max_size=6).map(",".join) | st.lists(
-                         ARG_NUMBERS, max_size=6).map(",".join)
+ARG_LISTS = (st.lists(st.sampled_from(["1", "-1"]) | st.floats(-360.0, 360.0).map(repr),
+                      min_size=1, max_size=6)
+             | st.lists(ARG_NUMBERS, max_size=6)).map(",".join)
 #: At most 1024 phases: the property never reaches the unallocatable sweep,
 #: which has its own test in a capped address space.
 ARG_PHASES = st.integers(-2, 1024).map(str) | st.sampled_from(["1.5", "x", "", "1e3"])
