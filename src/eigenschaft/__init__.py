@@ -81,4 +81,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.17.1"
+__version__ = "0.18.0"

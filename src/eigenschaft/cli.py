@@ -18,7 +18,7 @@ import sys
 
 from . import serialize
 from .dynamics import TwoLevelSystem, beat_trace, evolve_h2
-from .errors import DomainError, EigenschaftError, SerializationError
+from .errors import DomainError, EigenschaftError, SerializationError, ShapeError
 from .interferometer import (
     InterferometerConfig,
     holographic_report,
@@ -129,7 +129,7 @@ def _cmd_validate(args) -> tuple[str, int]:
     if args.strict:
         try:
             EigenschaftOp(m)
-        except DomainError as exc:
+        except (DomainError, ShapeError) as exc:
             print(f"strict gate failed: {exc}", file=sys.stderr)
             return payload, 1
     return payload, 0

@@ -63,5 +63,4 @@ def beat_trace(sys: TwoLevelSystem, t_samples: Iterable[float]) -> list[BeatSamp
     """
     times = as_real(list(t_samples), "time samples")
     phases = wrap_phase(h2_elements(sys.h2).delta_phi + sys.detuning * times)
-    return [BeatSample(t=t, delta_phi=p)
-            for t, p in zip(times.tolist(), phases.tolist())]
+    return list(map(BeatSample, times.tolist(), phases.tolist()))

@@ -3,7 +3,7 @@
 Matrix coercion, max-norm residuals (Hermiticity, unitarity, involution)
 and the package's one eigensolver for Hermitian matrices.  Everything in
 this module is a pure function of ``numpy`` arrays; matrices are dense,
-row-major, and small (the package is designed for dimensions up to 64).
+row-major, and small: an operator has at most ``MAX_DIM`` rows.
 
 ``hermitian_eig`` is LAPACK's backward-stable Hermitian solver
 (``numpy.linalg.eigh``, ``zheevd``) between the package's own gates: the
@@ -46,6 +46,8 @@ TOL_INV = 1e-10
 #: serves are of order one; an angle above this carries no phase, since the
 #: float spacing there far exceeds 2 pi.
 MAX_MAGNITUDE = 1e100
+#: Largest operator dimension, up to which ``to_projectors`` needs no check.
+MAX_DIM = 64
 
 
 def numeric_array(a, noun: str, error=DomainError) -> np.ndarray:

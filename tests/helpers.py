@@ -46,6 +46,15 @@ def random_involution(n: int, rng: np.random.Generator,
     return (m + m.conj().T) / 2.0
 
 
+def sylvester_hadamard(n: int) -> np.ndarray:
+    """The n x n Sylvester-Hadamard matrix of +-1 entries, n a power of 2;
+    ``S / sqrt(n)`` is a real traceless involution (trace 0 from n = 2)."""
+    s = np.ones((1, 1))
+    while len(s) < n:
+        s = np.kron(s, [[1.0, 1.0], [1.0, -1.0]])
+    return s
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
     return amp / np.linalg.norm(amp)

@@ -45,7 +45,12 @@ from eigenschaft.serialize import (
 )
 from eigenschaft.states import StateVector
 
-from helpers import csv_reference, random_hermitian, random_involution
+from helpers import (
+    csv_reference,
+    random_hermitian,
+    random_involution,
+    sylvester_hadamard,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -275,6 +280,23 @@ class TestValidate:
         else:
             assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("m, message", [
+        (np.diag([1.0, -1.0] * 32 + [1.0]), "dimension 65 exceeds MAX_DIM = 64"),
+        (sylvester_hadamard(64) / 8.0 + 3.92e-10 * np.eye(64),
+         "trace (2.5087"),
+    ], ids=["n65-involution", "n64-trace-witness"])
+    def test_strict_names_the_cap_and_the_trace_gate(self, capsys, tmp_path, m,
+                                                     message):
+        """Past the dimension cap, and at n = 64 where only the trace gate
+        refuses, --strict still prints the report and exits 1 with the
+        gate's message."""
+        path = tmp_path / "m.json"
+        path.write_text(dumps(matrix_to_dict(m)))
+        _, report, _ = run_cli(capsys, "validate", str(path))
+        code, out, err = run_cli(capsys, "validate", str(path), "--strict")
+        assert (code, out) == (1, report)
+        assert err.startswith(f"strict gate failed: {message}")
+
     def test_env_tolerance_does_not_loosen_projector_gate(self, capsys, tmp_path,
                                                            monkeypatch):
         # EIGENSCHAFT_TOL is not read: the operator, whose eigenvalues sit
@@ -366,6 +388,12 @@ class TestConvert:
             expected = np.eye(3)
             expected[i, i] = -1.0
             assert max_abs(m - expected) == 0.0
+
+    def test_operator_past_max_dim_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "op65.json"
+        path.write_text(dumps(matrix_to_dict(np.diag([1.0, -1.0] * 32 + [1.0]))))
+        assert run_cli(capsys, "convert", "--op", str(path)) == (
+            1, "", "error: dimension 65 exceeds MAX_DIM = 64\n")
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "convert")

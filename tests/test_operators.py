@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from eigenschaft import linalg, operators
 from eigenschaft.dynamics import TwoLevelSystem, beat_trace
 from eigenschaft.errors import ConstructionError, DomainError, ShapeError
 from eigenschaft.linalg import (
+    MAX_DIM,
     TOL_HERM,
     TOL_INV,
     TOL_ORTHO,
@@ -36,7 +38,13 @@ from eigenschaft.operators import (
     wrap_phase,
 )
 
-from helpers import haar_unitary, random_hermitian, random_involution, random_signs
+from helpers import (
+    haar_unitary,
+    random_hermitian,
+    random_involution,
+    random_signs,
+    sylvester_hadamard,
+)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -196,17 +204,47 @@ class TestEigenschaftOp:
         assert door_message(m) == message
 
     def test_trace_gate_stays_behind_the_residual_gates(self):
-        """``I + 1.2e-8 x x^T`` with ``x`` uniform at n = 256 passes the
-        Hermiticity gate and the involution gate (residual 9.4e-11) and is
-        refused by the trace gate."""
-        n = 256
-        x = np.full(n, 1.0 / np.sqrt(n))
-        m = np.eye(n) + 1.2e-8 * np.outer(x, x)
+        """``S/8 + 3.92e-10 I``, with ``S`` the 64 x 64 Sylvester-Hadamard
+        matrix, passes the Hermiticity gate and the involution gate
+        (residual 9.8e-11) and is refused by the trace gate: its trace is
+        ``64 * 3.92e-10`` off trace class 0, where the residual gates allow
+        up to ``n^(3/2) TOL_INV / 2`` = 2.56e-8."""
+        m = sylvester_hadamard(MAX_DIM) / 8.0 + 3.92e-10 * np.eye(MAX_DIM)
         assert hermiticity_residual(m) == 0.0
-        assert involution_residual(m) <= TOL_INV
+        assert 9.7e-11 < involution_residual(m) <= TOL_INV
         assert re.fullmatch(
-            r"trace \(256\.00000001\d*\+0j\) is 1\.200e-08 away from the "
-            r"nearest admissible trace class 256", door_message(m))
+            r"trace \(2\.5087\d*e-08\+0j\) is 2\.509e-08 away from the "
+            r"nearest admissible trace class 0", door_message(m))
+
+    @pytest.mark.parametrize("kind", ["involution", "neither", "uniform-256",
+                                      "fourier-512"])
+    def test_refused_past_max_dim_before_any_residual(self, monkeypatch, kind):
+        """Past ``MAX_DIM`` rows the constructor refuses with ``ShapeError``
+        naming the dimension and the cap, without computing a residual:
+        an n = 65 involution, an n = 65 matrix neither Hermitian nor an
+        involution, and the admitted near-involutions that reached the
+        trace gate (``I + 1.2e-8 x x^T``, ``x`` uniform, n = 256) and
+        ``to_projectors``' former eigenvalue refusal (``I + 1.1e-8 (x x^dag
+        - y y^dag)`` on two Fourier columns, n = 512)."""
+        if kind == "involution":
+            m = np.diag([1.0, -1.0] * 32 + [1.0])
+        elif kind == "neither":
+            m = np.arange(65.0 * 65.0).reshape(65, 65)
+        elif kind == "uniform-256":
+            m = np.eye(256) + 1.2e-8 / 256
+        else:
+            n = 512
+            x, y = (np.exp(2j * np.pi * k * np.arange(n) / n) / np.sqrt(n)
+                    for k in (1, 2))
+            m = np.eye(n) + 1.1e-8 * (np.outer(x, x.conj()) - np.outer(y, y.conj()))
+
+        def no_residual(*args):
+            raise AssertionError("a residual was computed")
+        monkeypatch.setattr(linalg, "hermiticity_residual", no_residual)
+        monkeypatch.setattr(operators, "involution_residual", no_residual)
+        with pytest.raises(ShapeError) as exc:
+            EigenschaftOp(m)
+        assert str(exc.value) == f"dimension {len(m)} exceeds MAX_DIM = 64"
 
     def test_matrix_read_only(self):
         op = hadamard()
@@ -593,47 +631,33 @@ class TestProjectorRoundtrip:
 
 def _signs_by_loop(eigenvalues) -> tuple[int, ...]:
     """The per-eigenvalue sign read ``to_projectors`` made before it read
-    its signs off the trace class: the nearer of +-1, within 1e-8."""
-    signs = []
-    for lam in eigenvalues:
-        k = 1 if lam > 0 else -1
-        if not abs(lam - k) <= 1e-8:
-            raise DomainError(
-                f"eigenvalue {float(lam)!r} is not within 1e-8 of +-1; "
-                "input is not an involution"
-            )
-        signs.append(k)
-    return tuple(signs)
+    its signs off the trace class: the nearer of +-1."""
+    return tuple(1 if lam > 0 else -1 for lam in eigenvalues)
 
 
 class TestToProjectorsSigns:
     def test_signs_match_the_loop(self):
-        """Every trace class at n = 1 to 9, and the extreme and balanced
-        ones at n = 33: the trace-class signs are those of the
-        per-eigenvalue loop."""
+        """Every trace class at n = 1 to 9, the extreme and balanced ones
+        at n = 33 and n = 64, and the flat worst case ``I + eps J/64``
+        (``J`` all ones) with ``eps`` pushed to the involution gate: the
+        trace-class signs are those of the per-eigenvalue loop, and every
+        eigenvalue lies within the 3.2e-9 of its sign that ``to_projectors``'
+        docstring proves."""
         rng = np.random.default_rng(2024)
         cases = [(n, tc) for n in range(1, 10) for tc in range(-n, n + 1, 2)]
-        for n, tc in cases + [(33, tc) for tc in (-33, -1, 1, 33)]:
-            op = EigenschaftOp(random_involution(n, rng, trace_class=tc))
+        cases += [(33, tc) for tc in (-33, -1, 1, 33)]
+        cases += [(64, tc) for tc in (-64, 0, 64)]
+        mats = [random_involution(n, rng, trace_class=tc) for n, tc in cases]
+        flat = np.eye(MAX_DIM) + 3.19e-9 * np.ones((MAX_DIM, MAX_DIM)) / MAX_DIM
+        assert 0.99 * TOL_INV < involution_residual(flat) <= TOL_INV
+        for m in mats + [flat]:
+            op = EigenschaftOp(m)
             pd = to_projectors(op)
-            assert pd.signs == _signs_by_loop(hermitian_eig(op.matrix).eigenvalues)
+            eigenvalues = hermitian_eig(op.matrix).eigenvalues
+            assert pd.signs == _signs_by_loop(eigenvalues)
             assert pd.signs.count(1) == op.multiplicities[0]
-
-    @pytest.mark.parametrize("diag", [
-        [-1.0, 0.5], [-1.0, 1.0 + 2e-8], [-1.0 - 3e-8, 1.0], [-0.5, 0.5],
-    ])
-    def test_refusal_matches_the_loop(self, diag):
-        """An operator past the constructor's gates (set up here without
-        them) is refused with the loop's message, naming the same first
-        eigenvalue."""
-        op = object.__new__(EigenschaftOp)
-        object.__setattr__(op, "matrix", np.diag(diag).astype(complex))
-        object.__setattr__(op, "trace_class", 0)
-        with pytest.raises(DomainError) as exc:
-            to_projectors(op)
-        with pytest.raises(DomainError) as ref:
-            _signs_by_loop(np.sort(diag))
-        assert str(exc.value) == str(ref.value)
+            assert max_abs(eigenvalues - pd.signs) <= 3.2e-9
+        assert max_abs(hermitian_eig(flat).eigenvalues - 1.0) > 3.18e-9
 
 
 def _domain_cases():
@@ -706,21 +730,6 @@ class TestToProjectorsDomain:
         assert door_message(m) == (
             "not Hermitian: residual 1.000e-09 exceeds 1e-10"
         )
-
-    def test_sign_gate_stays_behind_the_residual_gates(self):
-        """``I + 1.1e-8 (x x^dag - y y^dag)`` on two Fourier columns at
-        n = 512 passes every gate of the constructor (involution residual
-        8.6e-11), and ``to_projectors`` refuses its eigenvalues
-        ``1 +- 1.1e-8``."""
-        n = 512
-        x, y = (np.exp(2j * np.pi * k * np.arange(n) / n) / np.sqrt(n)
-                for k in (1, 2))
-        m = np.eye(n) + 1.1e-8 * (np.outer(x, x.conj()) - np.outer(y, y.conj()))
-        assert involution_residual(m) <= TOL_INV
-        op = EigenschaftOp(m)
-        with pytest.raises(DomainError, match=r"eigenvalue 0\.99999998\d* is not "
-                                              r"within 1e-8 of \+-1; input is not"):
-            to_projectors(op)
 
     def test_plain_constructor_admits_exact_spectrum(self):
         """Coupling the two eigenspaces of ``diag(1, -1)`` by 1e-7 moves
