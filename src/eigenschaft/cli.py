@@ -2,8 +2,13 @@
 
 Machine-readable payloads (JSON or CSV) go to stdout; human diagnostics go
 to stderr.  Exit codes: 0 success, 1 domain error (mathematically invalid
-input) or an input too large to allocate, 2 usage error (bad flags,
-unreadable or malformed files).
+input), an input too large to allocate or a closed stdout, 2 usage error
+(bad flags, unreadable or malformed files).
+
+Each handler returns its payload, a dict from :mod:`serialize` or CSV
+text, with its exit code.  :func:`main` lays a dict out as the pieces of
+:func:`serialize.chunked_dumps` and writes stdout once, after every piece
+is built, so a command that fails leaves stdout empty.
 
 Angles on the command line are degrees; the library works in radians.
 """
@@ -14,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import serialize
@@ -91,41 +97,41 @@ def _read_op(path: str):
     return serialize.op_from_dict(_load_json(path))
 
 
-def _cmd_construct_h2(args) -> tuple[str, int]:
+def _cmd_construct_h2(args) -> tuple[dict | str, int]:
     params = H2Params(
         gamma_angle=math.radians(args.gamma), delta_phi=math.radians(args.dphi)
     )
-    return serialize.dumps(serialize.op_to_dict(build_h2(params))), 0
+    return serialize.op_to_dict(build_h2(params)), 0
 
 
-def _cmd_construct_diag(args) -> tuple[str, int]:
+def _cmd_construct_diag(args) -> tuple[dict | str, int]:
     spec = DiagSpec(
         dim=args.dim,
         alphas=tuple(args.alphas),
         trace_sign=args.sign,
         phases=tuple(math.radians(p) for p in args.phases),
     )
-    return serialize.dumps(serialize.op_to_dict(build_from_diag(spec))), 0
+    return serialize.op_to_dict(build_from_diag(spec)), 0
 
 
-def _cmd_construct_kron(args) -> tuple[str, int]:
+def _cmd_construct_kron(args) -> tuple[dict | str, int]:
     family = build_kron_family(_read_op(args.a), _read_op(args.b))
     if args.member is not None:
         op = family[_KRON_MEMBERS[args.member]]
-        return serialize.dumps(serialize.op_to_dict(op)), 0
-    return serialize.dumps(serialize.family_to_dict(family)), 0
+        return serialize.op_to_dict(op), 0
+    return serialize.family_to_dict(family), 0
 
 
-def _cmd_construct_flip(args) -> tuple[str, int]:
+def _cmd_construct_flip(args) -> tuple[dict | str, int]:
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
     op = from_projector_flip(ps, args.signs)
-    return serialize.dumps(serialize.op_to_dict(op)), 0
+    return serialize.op_to_dict(op), 0
 
 
-def _cmd_validate(args) -> tuple[str, int]:
+def _cmd_validate(args) -> tuple[dict | str, int]:
     """Residual report; ``--strict`` exits 1 unless ``EigenschaftOp`` admits it."""
     m = serialize.matrix_from_dict(_load_json(args.matrix))
-    payload = serialize.dumps(serialize.validation_report_to_dict(validate(m)))
+    payload = serialize.validation_report_to_dict(validate(m))
     if args.strict:
         try:
             EigenschaftOp(m)
@@ -135,32 +141,30 @@ def _cmd_validate(args) -> tuple[str, int]:
     return payload, 0
 
 
-def _cmd_convert(args) -> tuple[str, int]:
+def _cmd_convert(args) -> tuple[dict | str, int]:
     if (args.op is None) == (args.projectors is None):
         raise UsageError("convert needs exactly one of --op or --projectors")
     if args.op is not None:
         decomposition = to_projectors(_read_op(args.op))
-        return serialize.dumps(
-            serialize.projector_decomposition_to_dict(decomposition)
-        ), 0
+        return serialize.projector_decomposition_to_dict(decomposition), 0
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
     family = complement_family(ps, kind=args.family)
-    return serialize.dumps(serialize.family_to_dict(family)), 0
+    return serialize.family_to_dict(family), 0
 
 
-def _cmd_decompose(args) -> tuple[str, int]:
+def _cmd_decompose(args) -> tuple[dict | str, int]:
     operator = serialize.matrix_from_dict(_load_json(args.op))
     state = serialize.state_from_dict(_load_json(args.state))
     dec = decompose_state(operator, state)
-    return serialize.dumps(serialize.decomposition_to_dict(dec)), 0
+    return serialize.decomposition_to_dict(dec), 0
 
 
-def _cmd_classify(args) -> tuple[str, int]:
+def _cmd_classify(args) -> tuple[dict | str, int]:
     rho = DensityMatrix(serialize.matrix_from_dict(_load_json(args.rho)))
-    return serialize.dumps(serialize.classification_to_dict(classify(rho))), 0
+    return serialize.classification_to_dict(classify(rho)), 0
 
 
-def _cmd_evolve(args) -> tuple[str, int]:
+def _cmd_evolve(args) -> tuple[dict | str, int]:
     if (args.time is None) == (args.times is None):
         raise UsageError("evolve needs exactly one of --time or --times")
     system = TwoLevelSystem(
@@ -168,12 +172,12 @@ def _cmd_evolve(args) -> tuple[str, int]:
     )
     if args.time is not None:
         op = evolve_h2(system, args.time)
-        return serialize.dumps(serialize.op_to_dict(op)), 0
+        return serialize.op_to_dict(op), 0
     samples = beat_trace(system, args.times)
     return serialize.beat_trace_csv(samples), 0
 
 
-def _cmd_simulate(args) -> tuple[str, int]:
+def _cmd_simulate(args) -> tuple[dict | str, int]:
     state = serialize.state_from_dict(_load_json(args.state))
     splitter = hadamard() if args.splitter is None else _read_op(args.splitter)
     cfg = InterferometerConfig(
@@ -185,7 +189,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
         fringe = run_interferometer(state, cfg, rng_seed=args.seed)
         return serialize.fringe_csv(fringe), 0
     report = holographic_report(state, cfg, seed=args.seed)
-    return serialize.dumps(serialize.holographic_report_to_dict(report)), 0
+    return serialize.holographic_report_to_dict(report), 0
 
 
 @functools.cache
@@ -300,6 +304,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)
+        pieces = ([payload] if isinstance(payload, str)
+                  else serialize.chunked_dumps(payload))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -313,7 +319,16 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 1
-    sys.stdout.write(payload)
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Point the descriptor at devnull, so the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: stdout closed: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -61,10 +61,16 @@ def dumps(payload) -> str:
     each array (matrix entries, amplitudes) is written by
     :func:`_emit_array` and everything else is laid out directly.
     """
+    return "".join(chunked_dumps(payload))
+
+
+def chunked_dumps(payload) -> list[str]:
+    """The text of :func:`dumps` as the list of pieces it joins, so that a
+    writer can send them on without holding the text a second time."""
     out: list[str] = []
     _emit(payload, 0, out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def _float_text(x: float) -> str:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eigenschaft import cli
+from eigenschaft import cli, serialize
 from eigenschaft.cli import main
 from eigenschaft.errors import DomainError
 from eigenschaft.interferometer import (
@@ -785,6 +785,49 @@ class TestUnreadableInput:
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"error: ")
         assert message.encode() in proc.stderr
+
+
+class TestWritingStdout:
+    """``cli.main`` lays out the whole payload before it writes stdout."""
+
+    def test_memory_error_while_laying_out_leaves_stdout_empty(self, capsys,
+                                                                monkeypatch):
+        emit_array = serialize._emit_array
+        calls = []
+
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError
+            return emit_array(*args)
+
+        monkeypatch.setattr(serialize, "_emit_array", second_call_fails)
+        code, out, err = run_cli(capsys, "convert", "--op", HADAMARD_OP)
+        assert len(calls) == 2  # one array per projector
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: allocation failed\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_one_error_line(self, tmp_path, unbuffered):
+        """The reader takes 20 bytes of a 0.34 MB ``convert --op`` output and
+        closes the pipe: exit 1 with one line, in both stdout modes."""
+        path = tmp_path / "s16.json"
+        path.write_text(dumps(op_to_dict(EigenschaftOp(sylvester_hadamard(16) / 4))))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+            [sys.executable, "-m", "eigenschaft", "convert", "--op", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 1
+        assert err.startswith("error: stdout closed: ")
+        assert err.count("\n") == 1
 
 
 def test_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):
