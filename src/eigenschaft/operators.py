@@ -249,9 +249,21 @@ class ProjectorSet:
 
     @classmethod
     def from_columns(cls, u) -> "ProjectorSet":
-        """Rank-1 projectors onto the columns of a unitary matrix."""
+        """Rank-1 projectors onto the columns of a unitary matrix.
+
+        Each member ``v v^dag`` is Hermitian to the bit, with a real
+        diagonal.  numpy's complex product can round ``v_j conj(v_k)`` and
+        the conjugate of ``v_k conj(v_j)`` apart in the last bit, so the
+        lower triangle is copied from the conjugate of the upper one, and
+        every diagonal imaginary part is set to ``+0.0``.
+        """
         v = as_square(u).T
-        return cls(v[:, :, None] * v.conj()[:, None, :])
+        p = v[:, :, None] * v.conj()[:, None, :]
+        n = p.shape[1]
+        lower = np.tri(n, k=-1, dtype=bool)
+        np.copyto(p, p.conj().transpose(0, 2, 1), where=lower)
+        p.reshape(n, n * n)[:, ::n + 1].imag = 0.0
+        return cls(p)
 
     @classmethod
     def standard_basis(cls, dim: int) -> "ProjectorSet":
@@ -436,7 +448,8 @@ def to_projectors(op: EigenschaftOp) -> ProjectorDecomposition:
 
     Inside each eigenspace the basis is LAPACK's: deterministic but not
     canonical; only sign-weighted sums (which reproduce the operator) are
-    canonical.
+    canonical.  Each projector is Hermitian to the bit, with a real
+    diagonal (:meth:`ProjectorSet.from_columns`).
     """
     spectrum = hermitian_eig(op.matrix)
     signs = (-1,) * op.multiplicities[1] + (1,) * op.multiplicities[0]

@@ -18,8 +18,12 @@ arrays.  Its output is byte-identical to ``json.dumps(payload, indent=2,
 allow_nan=False, default=np.ndarray.tolist)`` plus a trailing newline; a
 non-string key raises ``TypeError`` and a non-finite float ``ValueError``.
 ``float.__repr__`` is the only float formatter, and most of the writer's
-time.  Every matrix the package writes is Hermitian, so :func:`_emit_array`
-formats each distinct magnitude of an array once.  A matrix is read by one
+time, so :func:`_emit_array` formats each distinct magnitude of an array
+once.  The bytes rely on no symmetry; the speed does.  An n x n matrix
+that is Hermitian to the bit, with a real diagonal, has at most
+``n^2 + 1`` distinct magnitudes, and the projectors that
+:meth:`ProjectorSet.from_columns` builds are such matrices; a matrix read
+from a file is written as given.  A matrix is read by one
 ``np.fromiter`` over its numbers.  CSV numbers are ``float.__repr__`` of
 Python floats, written in one formatting pass.
 """
@@ -133,8 +137,16 @@ def _emit_array(a: np.ndarray, level: int, out: list[str]) -> None:
     included.  So one argsort of the magnitudes finds the distinct ones,
     each is formatted once, and every number takes its magnitude's text.
     A nan or an infinity sorts last; it raises ``ValueError`` naming the
-    first non-finite number in row-major order.  The text is appended as
-    three pieces, with no second copy of the body.
+    first non-finite number in row-major order.
+
+    The layout is one gather.  A table holds the ``m`` magnitude texts,
+    then each of the three separators that can precede a number, bare and
+    with ``"-"`` appended: nothing before the first number, ``","`` and the
+    number indent within a row, and the row break.  Each number takes two
+    slots of an index array in row-major order, its separator's (the sign
+    bit adding one) and its magnitude's, and the body is the join of the
+    table gathered at that array.  The text is appended as three pieces,
+    with no second copy of the body.
     """
     if a.ndim != 2 or a.dtype != np.float64 or not a.size:
         raise TypeError(f"an array payload is 2-d float64 and not empty, "
@@ -151,16 +163,25 @@ def _emit_array(a: np.ndarray, level: int, out: list[str]) -> None:
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     texts = list(map(float.__repr__, ranked[first].tolist()))
     first[0] = False  # cumsum then numbers the groups from 0
-    slot = np.empty(ranked.size, dtype=np.intp)
-    slot[order] = first.cumsum()
-    slot += np.signbit(flat) * len(texts)
-    numbers = map((texts + ["-" + t for t in texts]).__getitem__, slot.tolist())
     outer = "\n" + _INDENT * level
     row = outer + _INDENT
     num = row + _INDENT
-    rows = map(("," + num).join, zip(*[numbers] * a.shape[1]))
+    comma = "," + num
+    wrap = row + "]," + row + "[" + num
+    # Slots m, m + 2 and m + 4 hold the separators before the first number,
+    # within a row and at a row break; the slot above each adds the "-".
+    m = len(texts)
+    table = np.fromiter(texts + ["", "-", comma, comma + "-", wrap, wrap + "-"],
+                        object)
+    idx = np.empty((flat.size, 2), dtype=np.intp)
+    seps = idx[:, 0]
+    seps[:] = m + 2
+    seps[a.shape[1]::a.shape[1]] = m + 4
+    seps[0] = m
+    seps += np.signbit(flat)
+    idx[:, 1][order] = first.cumsum()
     out.append("[" + row + "[" + num)
-    out.append((row + "]," + row + "[" + num).join(rows))
+    out.append("".join(table[idx.ravel()].tolist()))
     out.append(row + "]" + outer + "]")
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigenschaft import linalg, operators
+from eigenschaft import linalg, operators, serialize
 from eigenschaft.dynamics import TwoLevelSystem, beat_trace
 from eigenschaft.errors import ConstructionError, DomainError, ShapeError
 from eigenschaft.linalg import (
@@ -740,6 +740,43 @@ class TestToProjectorsDomain:
         pd = to_projectors(EigenschaftOp(m))
         rebuilt = from_projector_flip(pd.projectors, pd.signs)
         assert max_abs(rebuilt.matrix - m) <= 1e-13
+
+
+def _hermitian_cases():
+    """Haar-frame involutions at trace classes 0, +-1 and +-(n - 2), as the
+    parity of n allows, and ``S/sqrt(n)`` for the n that are powers of 2."""
+    for n in (1, 2, 3, 4, 7, 16, 31, 32, 64):
+        for tc in sorted({0, 1, -1, n - 2, 2 - n}):
+            if abs(tc) <= n and (n - tc) % 2 == 0:
+                yield n, tc
+        if n & (n - 1) == 0:
+            yield n, "sylvester"
+
+
+class TestProjectorsHermitianToTheBit:
+    @staticmethod
+    def check(ps):
+        """Each member equals its conjugate transpose bit for bit, no
+        diagonal imaginary part is ``-0.0`` or below, and the member's
+        written entries have at most the ``n^2 + 1`` distinct magnitudes of
+        such a matrix."""
+        n = ps.dim
+        for p in ps.projectors:
+            assert np.array_equal(p, p.conj().T)
+            assert not np.signbit(np.diagonal(p).imag).any()
+            entries = serialize.matrix_to_dict(p)["entries"]
+            assert np.unique(np.abs(entries)).size <= n * n + 1
+
+    @pytest.mark.parametrize("n,case", list(_hermitian_cases()))
+    def test_projectors_reach_the_repr_floor(self, n, case):
+        rng = np.random.default_rng(
+            [n, n + 1 if case == "sylvester" else n + case])
+        if case == "sylvester":
+            m = sylvester_hadamard(n) / np.sqrt(n)
+        else:
+            m = random_involution(n, rng, trace_class=case)
+        self.check(to_projectors(EigenschaftOp(m)).projectors)
+        self.check(ProjectorSet.from_columns(haar_unitary(n, rng)))
 
 
 class TestComplementFamily:

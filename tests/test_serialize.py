@@ -433,6 +433,29 @@ def pair_arrays(draw):
     return np.array([-x if flip else x for x, flip in picks]).reshape(k, 2)
 
 
+@st.composite
+def wide_arrays(draw):
+    """(k, c) float64 arrays with up to 70 rows and 4 columns, from a small
+    pool taken with either sign, or all negative, and with ``-0.0`` as the
+    first or the last number when drawn so: the writer lays out the first
+    number and each row break itself."""
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | FINITE_FLOATS,
+                         min_size=1, max_size=6))
+    k, c = draw(st.integers(1, 70)), draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=k * c,
+                                    max_size=k * c)))
+    if draw(st.booleans()):
+        values = -np.abs(values)
+    else:
+        flips = draw(st.lists(st.booleans(), min_size=k * c, max_size=k * c))
+        values[flips] *= -1.0
+    if draw(st.booleans()):
+        values[0] = -0.0
+    if draw(st.booleans()):
+        values[-1] = -0.0
+    return values.reshape(k, c)
+
+
 class TestArrayWriter:
     """``dumps`` formats each distinct magnitude of an array once; the text
     must still be the standard library's, number by number."""
@@ -440,6 +463,18 @@ class TestArrayWriter:
     @settings(max_examples=150, deadline=None)
     @given(pair_arrays())
     def test_matches_the_stdlib(self, a):
+        for payload in (a, {"dim": len(a), "entries": a},
+                        {"members": [{"amplitudes": a, "trace_class": 0}]}):
+            assert serialize.dumps(payload) == _oracle(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_arrays())
+    @example(np.array([[-0.0]]))
+    @example(np.array([[0.0]]))
+    @example(np.array([[2.5]]))
+    @example(-np.arange(280.0).reshape(70, 4))
+    @example(np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -0.0]]))
+    def test_any_shape_matches_the_stdlib(self, a):
         for payload in (a, {"dim": len(a), "entries": a},
                         {"members": [{"amplitudes": a, "trace_class": 0}]}):
             assert serialize.dumps(payload) == _oracle(payload)
