@@ -81,4 +81,4 @@ from .states import (
     superpose,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

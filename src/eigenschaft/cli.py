@@ -142,8 +142,6 @@ def _cmd_validate(args) -> tuple[dict | str, int]:
 
 
 def _cmd_convert(args) -> tuple[dict | str, int]:
-    if (args.op is None) == (args.projectors is None):
-        raise UsageError("convert needs exactly one of --op or --projectors")
     if args.op is not None:
         decomposition = to_projectors(_read_op(args.op))
         return serialize.projector_decomposition_to_dict(decomposition), 0
@@ -165,8 +163,6 @@ def _cmd_classify(args) -> tuple[dict | str, int]:
 
 
 def _cmd_evolve(args) -> tuple[dict | str, int]:
-    if (args.time is None) == (args.times is None):
-        raise UsageError("evolve needs exactly one of --time or --times")
     system = TwoLevelSystem(
         omega1=args.omega1, omega2=args.omega2, h2=_read_op(args.op)
     )
@@ -256,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         "convert",
         help="operator -> projectors (--op) or projectors -> family (--projectors)",
     )
-    conv.add_argument("--op", help="operator JSON file")
-    conv.add_argument("--projectors", help="projector-set JSON file")
+    source = conv.add_mutually_exclusive_group(required=True)
+    source.add_argument("--op", help="operator JSON file")
+    source.add_argument("--projectors", help="projector-set JSON file")
     conv.add_argument("--family", choices=("flip", "traceless"), default="flip",
                       help="family kind for --projectors (default flip)")
     conv.set_defaults(handler=_cmd_convert)
@@ -277,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--op", required=True, help="operator JSON file")
     evo.add_argument("--omega1", type=float, required=True)
     evo.add_argument("--omega2", type=float, required=True)
-    evo.add_argument("--time", type=float, help="single time: evolved operator JSON")
-    evo.add_argument("--times", type=_csv(float, "number"),
-                     help="comma-separated times: beat-trace CSV")
+    when = evo.add_mutually_exclusive_group(required=True)
+    when.add_argument("--time", type=float, help="single time: evolved operator JSON")
+    when.add_argument("--times", type=_csv(float, "number"),
+                      help="comma-separated times: beat-trace CSV")
     evo.set_defaults(handler=_cmd_evolve)
 
     sim = sub.add_parser(

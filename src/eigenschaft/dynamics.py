@@ -9,7 +9,7 @@ so the operator stays a Hermitian involution at every instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,11 @@ def beat_trace(sys: TwoLevelSystem, t_samples: Iterable[float]) -> list[BeatSamp
     """Relative phase versus time, wrapped to ``(-pi, pi]``.
 
     The phase winds linearly at the detuning frequency from the operator's
-    initial off-diagonal phase.
+    initial off-diagonal phase.  The samples, an iterator read out first,
+    are flattened to one axis as sweep phases are: a number is one sample.
     """
-    times = as_real(list(t_samples), "time samples")
+    if isinstance(t_samples, Iterator):
+        t_samples = list(t_samples)
+    times = as_real(t_samples, "time samples").reshape(-1)
     phases = wrap_phase(h2_elements(sys.h2).delta_phi + sys.detuning * times)
     return list(map(BeatSample, times.tolist(), phases.tolist()))

@@ -18,7 +18,8 @@ place where outside input meets ``np.asarray``: it refuses anything but an
 evenly nested array of numbers.  ``as_numeric`` adds the bound, each number
 finite and at most ``MAX_MAGNITUDE`` (compared in float64); ``as_real``,
 ``as_scalars`` and ``as_square`` are that call for real numbers, single
-numbers and matrices, and each door keeps what its call returns.
+numbers and matrices, and each door keeps what its call returns: a matrix
+door runs ``as_square`` once and the ``*_kernel`` residuals on its result.
 ``operators.wrap_phase``, which wraps derived phases past the bound, takes
 ``numeric_array`` and checks only that its phases are real and finite.  A
 sum of up to ``1e100`` products of two bounded numbers stays finite, so the
@@ -127,10 +128,14 @@ def as_dim(n) -> int:
 
 
 def as_hermitian(a) -> np.ndarray:
-    """``as_square(a)``, refused with ``DomainError`` unless its
-    Hermiticity residual is within ``TOL_HERM``."""
-    m = as_square(a)
-    herm = hermiticity_residual(m)
+    """``as_square(a)`` through :func:`check_hermitian`."""
+    return check_hermitian(as_square(a))
+
+
+def check_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m``, as :func:`as_square` returns it, refused with ``DomainError``
+    unless its Hermiticity residual is within ``TOL_HERM``."""
+    herm = hermiticity_kernel(m)
     if herm > TOL_HERM:
         raise DomainError(
             f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
@@ -159,19 +164,31 @@ def max_abs(a) -> float:
 
 def hermiticity_residual(a) -> float:
     """``max_abs(a - a^dag)``; zero iff ``a`` is Hermitian."""
-    m = as_square(a)
-    return max_abs(m - m.conj().T)
+    return hermiticity_kernel(as_square(a))
 
 
 def unitarity_residual(a) -> float:
     """``max_abs(a @ a^dag - I)``; zero iff ``a`` is unitary."""
-    m = as_square(a)
-    return max_abs(m @ m.conj().T - np.eye(m.shape[0]))
+    return unitarity_kernel(as_square(a))
 
 
 def involution_residual(a) -> float:
     """``max_abs(a @ a - I)``; zero iff ``a`` squares to the identity."""
-    m = as_square(a)
+    return involution_kernel(as_square(a))
+
+
+def hermiticity_kernel(m: np.ndarray) -> float:
+    """:func:`hermiticity_residual` of a matrix ``as_square`` returned."""
+    return max_abs(m - m.conj().T)
+
+
+def unitarity_kernel(m: np.ndarray) -> float:
+    """:func:`unitarity_residual` of a matrix ``as_square`` returned."""
+    return max_abs(m @ m.conj().T - np.eye(m.shape[0]))
+
+
+def involution_kernel(m: np.ndarray) -> float:
+    """:func:`involution_residual` of a matrix ``as_square`` returned."""
     return max_abs(m @ m - np.eye(m.shape[0]))
 
 

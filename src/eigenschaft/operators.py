@@ -35,18 +35,18 @@ from .linalg import (
     TOL_HERM,
     TOL_INV,
     as_dim,
-    as_hermitian,
     as_int,
     as_real,
     as_scalars,
     as_square,
+    check_hermitian,
     freeze_fields,
     hermitian_eig,
-    hermiticity_residual,
-    involution_residual,
+    hermiticity_kernel,
+    involution_kernel,
     max_abs,
     numeric_array,
-    unitarity_residual,
+    unitarity_kernel,
 )
 
 #: Off-diagonal magnitudes below this leave the associated phase undefined.
@@ -119,8 +119,8 @@ class EigenschaftOp:
         m = as_square(self.matrix)
         if m.shape[0] > MAX_DIM:
             raise ShapeError(f"dimension {m.shape[0]} exceeds MAX_DIM = {MAX_DIM}")
-        m = as_hermitian(m)
-        inv = involution_residual(m)
+        check_hermitian(m)
+        inv = involution_kernel(m)
         if inv > TOL_INV:
             raise DomainError(
                 f"not an involution: residual {inv:.3e} exceeds {TOL_INV:g}"
@@ -603,10 +603,7 @@ def validate(matrix) -> ValidationReport:
     a matrix within ``MAX_MAGNITUDE``; every deviation shows up as a
     finite residual.
     """
-    if isinstance(matrix, EigenschaftOp):
-        m = matrix.matrix
-    else:
-        m = as_square(matrix)
+    m = as_square(matrix.matrix if isinstance(matrix, EigenschaftOp) else matrix)
     n = m.shape[0]
     trace, tc, dist = _trace_class(m)
     relations: dict[str, float] = {}
@@ -636,9 +633,9 @@ def validate(matrix) -> ValidationReport:
 
     return ValidationReport(
         dim=n,
-        hermiticity_residual=hermiticity_residual(m),
-        unitarity_residual=unitarity_residual(m),
-        involution_residual=involution_residual(m),
+        hermiticity_residual=hermiticity_kernel(m),
+        unitarity_residual=unitarity_kernel(m),
+        involution_residual=involution_kernel(m),
         trace=trace,
         trace_class=tc,
         trace_class_distance=float(dist),

@@ -396,9 +396,19 @@ class TestConvert:
             1, "", "error: dimension 65 exceeds MAX_DIM = 64\n")
 
     def test_requires_exactly_one_input(self, capsys):
-        code, _, err = run_cli(capsys, "convert")
-        assert code == 2
-        assert "exactly one" in err
+        """The parser takes exactly one of ``--op`` and ``--projectors``."""
+        for argv, message in [
+            ((), "one of the arguments --op --projectors is required"),
+            (("--op", HADAMARD_OP, "--projectors", STD3_PROJECTORS),
+             "argument --projectors: not allowed with argument --op"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(["convert", *argv])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: {message}\n")
+            assert "(--op OP | --projectors PROJECTORS)" in captured.err
 
 
 class TestDecomposeClassify:
@@ -479,13 +489,20 @@ class TestEvolve:
         assert values[2] == pytest.approx(np.pi)
 
     def test_time_and_times_mutually_exclusive(self, capsys):
-        code, _, err = run_cli(
-            capsys, "evolve", "--op", HADAMARD_OP,
-            "--omega1", "1", "--omega2", "0",
-            "--time", "1", "--times", "0,1",
-        )
-        assert code == 2
-        assert "exactly one" in err
+        """The parser takes exactly one of ``--time`` and ``--times``."""
+        for times, message in [
+            ((), "one of the arguments --time --times is required"),
+            (("--time", "1", "--times", "0,1"),
+             "argument --times: not allowed with argument --time"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(["evolve", "--op", HADAMARD_OP,
+                      "--omega1", "1", "--omega2", "0", *times])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: {message}\n")
+            assert "(--time TIME | --times TIMES)" in captured.err
 
 
 class TestSimulate:

@@ -133,3 +133,24 @@ class TestBeatTrace:
 
     def test_empty_samples(self):
         assert beat_trace(system(1.0), []) == []
+
+    @pytest.mark.parametrize("samples, times", [
+        (1.0, [1.0]),
+        (5, [5.0]),
+        ([[0.0, 1.0]], [0.0, 1.0]),
+        (np.array([0.0, 1.0]), [0.0, 1.0]),
+        ((t for t in (0.0, 1.0)), [0.0, 1.0]),
+    ], ids=["float", "int", "nested", "array", "generator"])
+    def test_samples_read_as_sweep_phases(self, samples, times):
+        """Samples are flattened to one axis of floats, as sweep phases
+        are: a number is one sample, and every sample is a float."""
+        trace = beat_trace(system(1.0), samples)
+        assert [s.t for s in trace] == times
+        assert all(type(s.t) is float and type(s.delta_phi) is float
+                   for s in trace)
+        assert beat_trace_csv(trace) == "t,delta_phi\n" + "".join(
+            f"{t!r},{wrap_phase(t)!r}\n" for t in times)
+
+    def test_refuses_none(self):
+        with pytest.raises(DomainError, match="^time samples must be numeric$"):
+            beat_trace(system(1.0), None)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigenschaft import linalg, operators, states
 from eigenschaft.cli import main
 from eigenschaft.dynamics import TwoLevelSystem
 from eigenschaft.errors import (
@@ -35,6 +36,7 @@ from eigenschaft.operators import (
     EigenschaftOp,
     ProjectorSet,
     algebra_table,
+    complement_family,
     from_projector_flip,
     hadamard,
     validate,
@@ -85,6 +87,38 @@ class TestAsHermitian:
         with pytest.raises(DomainError) as exc:
             door(self.SKEW)
         assert str(exc.value) == "not Hermitian: residual 1.000e-07 exceeds 1e-10"
+
+
+class TestOneCoercionPerDoor:
+    """Each matrix door runs ``as_square`` once and computes its residuals
+    on the array it returned."""
+
+    @pytest.fixture
+    def coercions(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return as_square(a)
+        for module in (linalg, operators, states):
+            monkeypatch.setattr(module, "as_square", counted)
+        return calls
+
+    @pytest.mark.parametrize("door", [
+        EigenschaftOp,
+        validate,
+        hermitian_eig,
+        lambda m: decompose_state(m, StateVector.basis_state(8, 3)),
+    ], ids=["EigenschaftOp", "validate", "hermitian_eig", "decompose_state"])
+    def test_one_call_per_matrix(self, coercions, door):
+        door(random_involution(8, RNG(32)))
+        assert len(coercions) == 1
+
+    def test_one_call_per_member_of_a_family(self, coercions):
+        ps = ProjectorSet.from_columns(haar_unitary(16, RNG(33)))
+        coercions.clear()
+        complement_family(ps)
+        assert len(coercions) == ps.dim
 
 
 #: Each integer argument: its noun, the error it raises, a call that puts

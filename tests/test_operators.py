@@ -240,8 +240,9 @@ class TestEigenschaftOp:
 
         def no_residual(*args):
             raise AssertionError("a residual was computed")
-        monkeypatch.setattr(linalg, "hermiticity_residual", no_residual)
-        monkeypatch.setattr(operators, "involution_residual", no_residual)
+        for name in ("check_hermitian", "hermiticity_kernel", "involution_kernel"):
+            monkeypatch.setattr(operators, name, no_residual)
+            monkeypatch.setattr(linalg, name, no_residual)
         with pytest.raises(ShapeError) as exc:
             EigenschaftOp(m)
         assert str(exc.value) == f"dimension {len(m)} exceeds MAX_DIM = 64"
