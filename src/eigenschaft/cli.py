@@ -33,11 +33,11 @@ from .interferometer import (
 )
 from .operators import (
     DiagSpec,
-    EigenschaftOp,
     H2Params,
     build_from_diag,
     build_h2,
     build_kron_family,
+    check_operator,
     complement_family,
     from_projector_flip,
     hadamard,
@@ -129,12 +129,15 @@ def _cmd_construct_flip(args) -> tuple[dict | str, int]:
 
 
 def _cmd_validate(args) -> tuple[dict | str, int]:
-    """Residual report; ``--strict`` exits 1 unless ``EigenschaftOp`` admits it."""
-    m = serialize.matrix_from_dict(_load_json(args.matrix))
-    payload = serialize.validation_report_to_dict(validate(m))
+    """Residual report; ``--strict`` exits 1 unless ``check_operator`` admits it."""
+    r = validate(serialize.matrix_from_dict(_load_json(args.matrix)))
+    payload = serialize.validation_report_to_dict(r)
     if args.strict:
         try:
-            EigenschaftOp(m)
+            check_operator(dim=r.dim, hermiticity_residual=r.hermiticity_residual,
+                           involution_residual=r.involution_residual, trace=r.trace,
+                           trace_class=r.trace_class,
+                           trace_class_distance=r.trace_class_distance)
         except (DomainError, ShapeError) as exc:
             print(f"strict gate failed: {exc}", file=sys.stderr)
             return payload, 1
@@ -143,10 +146,12 @@ def _cmd_validate(args) -> tuple[dict | str, int]:
 
 def _cmd_convert(args) -> tuple[dict | str, int]:
     if args.op is not None:
+        if args.family is not None:
+            raise UsageError("argument --family: not allowed with argument --op")
         decomposition = to_projectors(_read_op(args.op))
         return serialize.projector_decomposition_to_dict(decomposition), 0
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
-    family = complement_family(ps, kind=args.family)
+    family = complement_family(ps, kind=args.family or "flip")
     return serialize.family_to_dict(family), 0
 
 
@@ -255,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = conv.add_mutually_exclusive_group(required=True)
     source.add_argument("--op", help="operator JSON file")
     source.add_argument("--projectors", help="projector-set JSON file")
-    conv.add_argument("--family", choices=("flip", "traceless"), default="flip",
-                      help="family kind for --projectors (default flip)")
+    conv.add_argument("--family", choices=("flip", "traceless"),
+                      help="family kind for --projectors only (default flip)")
     conv.set_defaults(handler=_cmd_convert)
 
     dec = sub.add_parser(

@@ -128,19 +128,19 @@ def as_dim(n) -> int:
 
 
 def as_hermitian(a) -> np.ndarray:
-    """``as_square(a)`` through :func:`check_hermitian`."""
-    return check_hermitian(as_square(a))
+    """``as_square(a)``, its Hermiticity residual through :func:`check_hermitian`."""
+    m = as_square(a)
+    check_hermitian(hermiticity_kernel(m))
+    return m
 
 
-def check_hermitian(m: np.ndarray) -> np.ndarray:
-    """``m``, as :func:`as_square` returns it, refused with ``DomainError``
-    unless its Hermiticity residual is within ``TOL_HERM``."""
-    herm = hermiticity_kernel(m)
+def check_hermitian(herm: float) -> None:
+    """Refuse a Hermiticity residual ``herm`` past ``TOL_HERM`` with
+    ``DomainError``."""
     if herm > TOL_HERM:
         raise DomainError(
             f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
         )
-    return m
 
 
 def freeze_fields(obj, **fields) -> None:

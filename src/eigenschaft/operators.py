@@ -97,19 +97,38 @@ def _trace_class(m: np.ndarray) -> tuple[complex, int, float]:
     return trace, k, abs(trace - k)
 
 
+def _check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ShapeError(f"dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
+
+
+def check_operator(dim, hermiticity_residual, involution_residual, trace,
+                   trace_class, trace_class_distance) -> None:
+    """The operator gate, on the numbers ``validate`` reports: ``ShapeError``
+    past ``MAX_DIM`` rows, then ``DomainError`` past ``TOL_HERM``, ``TOL_INV``
+    or ``TOL_SPECTRUM`` from ``trace_class``, in that order."""
+    _check_dim(dim)
+    check_hermitian(hermiticity_residual)
+    if involution_residual > TOL_INV:
+        raise DomainError(f"not an involution: residual "
+                          f"{involution_residual:.3e} exceeds {TOL_INV:g}")
+    if trace_class_distance > TOL_SPECTRUM:
+        raise DomainError(f"trace {trace!r} is {trace_class_distance:.3e} away "
+                          f"from the nearest admissible trace class {trace_class}")
+
+
 @dataclass(frozen=True, eq=False)
 class EigenschaftOp:
     """A Hermitian involution; its trace class and multiplicities
     ``(n_plus, n_minus)`` are read off the trace.
 
-    The constructor is the package's one operator gate.  It raises
-    ``ShapeError`` past ``MAX_DIM`` rows, before any residual, then
-    ``DomainError`` when the Hermiticity residual exceeds ``TOL_HERM``, the
-    involution residual exceeds ``TOL_INV``, or the trace is farther than
-    ``TOL_SPECTRUM`` from an integer of the dimension's parity, in that
-    order.  The residual gates leave the trace up to ``n^(3/2) TOL_INV / 2``
-    off: at n = 64, ``S/8 + 3.92e-10 I`` (``S`` Sylvester-Hadamard) has
-    residuals 0 and 9.8e-11, and only the trace gate refuses it.
+    The constructor is the package's one operator gate: it refuses past
+    ``MAX_DIM`` rows before any residual, then computes the Hermiticity
+    residual, the involution residual and the trace class once each and
+    passes them to :func:`check_operator`.  The residual gates leave the
+    trace up to ``n^(3/2) TOL_INV / 2`` off: at n = 64, ``S/8 + 3.92e-10 I``
+    (``S`` Sylvester-Hadamard) has residuals 0 and 9.8e-11, and only the
+    trace gate refuses it.
     """
 
     matrix: np.ndarray
@@ -117,20 +136,10 @@ class EigenschaftOp:
 
     def __post_init__(self):
         m = as_square(self.matrix)
-        if m.shape[0] > MAX_DIM:
-            raise ShapeError(f"dimension {m.shape[0]} exceeds MAX_DIM = {MAX_DIM}")
-        check_hermitian(m)
-        inv = involution_kernel(m)
-        if inv > TOL_INV:
-            raise DomainError(
-                f"not an involution: residual {inv:.3e} exceeds {TOL_INV:g}"
-            )
+        _check_dim(m.shape[0])
         trace, tc, dist = _trace_class(m)
-        if dist > TOL_SPECTRUM:
-            raise DomainError(
-                f"trace {trace!r} is {dist:.3e} away from the nearest "
-                f"admissible trace class {tc}"
-            )
+        check_operator(m.shape[0], hermiticity_kernel(m), involution_kernel(m),
+                       trace, tc, dist)
         freeze_fields(self, matrix=m, trace_class=tc)
 
     @property

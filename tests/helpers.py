@@ -9,7 +9,14 @@ was planted, not against a second eigensolver.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
+
+#: The exact checks admit ``EXACT_C * n * eps * max(1, s)`` between a
+#: reported number and its exact value, ``s`` being the sum of the
+#: magnitudes that the number adds up (README, 'Named thresholds').
+EXACT_C = 2
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,3 +72,53 @@ def csv_reference(header: str, rows) -> str:
     joined by commas, one line per row."""
     return header + "\n" + "".join(
         ",".join(map(float.__repr__, row)) + "\n" for row in rows)
+
+
+def householder_rational(v) -> np.ndarray:
+    """``I - 2 v v^dag / (v^dag v)`` for a nonzero vector ``v`` of small
+    Gaussian integers (their products are exact in floats), an exact
+    involution, with each entry rounded once to the nearest complex float."""
+    v = np.asarray(v, dtype=complex)
+    norm2 = int((v.conj() @ v).real)
+    h = np.empty((len(v), len(v)), dtype=complex)
+    for (i, j), z in np.ndenumerate(np.outer(v, v.conj())):
+        h[i, j] = complex(float((i == j) - Fraction(2 * int(z.real), norm2)),
+                          float(Fraction(-2 * int(z.imag), norm2)))
+    return h
+
+
+def exact_gate_numbers(m) -> tuple[Fraction, Fraction, Fraction, int]:
+    """The exact squares of ``validate``'s Hermiticity residual, involution
+    residual and trace-class distance for the floats of the complex matrix
+    ``m``, and its exact trace class.
+
+    Every float is an integer over a power of two, so over the largest
+    denominator ``d`` each entry is a pair of Python integers, and every
+    sum and product below is exact.
+    """
+    n = m.shape[0]
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m.tolist()]
+    d = max(f.denominator for row in rows for z in row for f in z)
+    a = [[(int(x * d), int(y * d)) for x, y in row] for row in rows]
+    herm = max((a[i][j][0] - a[j][i][0]) ** 2 + (a[i][j][1] + a[j][i][1]) ** 2
+               for i in range(n) for j in range(n))
+    inv, cols = 0, list(zip(*a))
+    for i in range(n):
+        for j in range(n):
+            terms = list(zip(a[i], cols[j]))
+            re = sum(x * u - y * w for (x, y), (u, w) in terms) - (i == j) * d * d
+            im = sum(x * w + y * u for (x, y), (u, w) in terms)
+            inv = max(inv, re * re + im * im)
+    tr_re, tr_im = (sum(a[i][i][c] for i in range(n)) for c in (0, 1))
+    k = round((Fraction(tr_re, d) - n % 2) / 2) * 2 + n % 2
+    k = max(-n, min(n, k))
+    dist = (tr_re - k * d) ** 2 + tr_im ** 2
+    return Fraction(herm, d * d), Fraction(inv, d ** 4), Fraction(dist, d * d), k
+
+
+def within_exact(value: float, exact_square: Fraction, bound: float) -> bool:
+    """Whether the nonnegative float ``value`` lies within ``bound`` of the
+    square root of ``exact_square``, compared exactly through squares."""
+    lo = max(Fraction(value) - Fraction(bound), Fraction(0))
+    hi = Fraction(value) + Fraction(bound)
+    return lo * lo <= exact_square <= hi * hi

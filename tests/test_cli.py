@@ -395,6 +395,13 @@ class TestConvert:
         assert run_cli(capsys, "convert", "--op", str(path)) == (
             1, "", "error: dimension 65 exceeds MAX_DIM = 64\n")
 
+    @pytest.mark.parametrize("family", ["flip", "traceless"])
+    def test_family_with_op_is_a_usage_error(self, capsys, family):
+        """``--family`` names the family of ``--projectors``; with ``--op``
+        it is refused, not ignored, whichever kind it names."""
+        assert run_cli(capsys, "convert", "--op", HADAMARD_OP, "--family", family) == (
+            2, "", "error: argument --family: not allowed with argument --op\n")
+
     def test_requires_exactly_one_input(self, capsys):
         """The parser takes exactly one of ``--op`` and ``--projectors``."""
         for argv, message in [

@@ -1,11 +1,12 @@
 import copy
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenschaft import linalg, operators, states
+from eigenschaft import linalg, operators, serialize, states
 from eigenschaft.cli import main
 from eigenschaft.dynamics import TwoLevelSystem
 from eigenschaft.errors import (
@@ -119,6 +120,29 @@ class TestOneCoercionPerDoor:
         coercions.clear()
         complement_family(ps)
         assert len(coercions) == ps.dim
+
+
+def test_strict_validate_computes_each_number_once(monkeypatch, tmp_path, capsys):
+    """``validate --strict`` coerces its matrix once and computes each
+    residual once: the gate reads the numbers of the report it prints."""
+    calls = Counter()
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+    for name in ("as_square", "hermiticity_kernel", "involution_kernel"):
+        kernel = getattr(linalg, name)
+        for module in (linalg, operators, states):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, kernel))
+    path = tmp_path / "m.json"
+    m = random_involution(8, RNG(34))
+    path.write_text(serialize.dumps(serialize.matrix_to_dict(m)))
+    assert main(["validate", str(path), "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == {"as_square": 1, "hermiticity_kernel": 1, "involution_kernel": 1}
 
 
 #: Each integer argument: its noun, the error it raises, a call that puts

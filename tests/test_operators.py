@@ -1,6 +1,10 @@
+import inspect
+import itertools
+import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from eigenschaft.linalg import (
 )
 from eigenschaft.operators import (
     EXPRESSIBLE_TOL,
+    TOL_SPECTRUM,
     DiagSpec,
     EigenschaftOp,
     H2Params,
@@ -29,6 +34,7 @@ from eigenschaft.operators import (
     build_from_diag,
     build_h2,
     build_kron_family,
+    check_operator,
     complement_family,
     from_projector_flip,
     h2_elements,
@@ -39,11 +45,15 @@ from eigenschaft.operators import (
 )
 
 from helpers import (
+    EXACT_C,
+    exact_gate_numbers,
     haar_unitary,
+    householder_rational,
     random_hermitian,
     random_involution,
     random_signs,
     sylvester_hadamard,
+    within_exact,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -251,6 +261,157 @@ class TestEigenschaftOp:
         op = hadamard()
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 9.0
+
+
+#: Numbers ``check_operator`` admits: those of ``diag(1, -1)``.
+ADMITTED = dict(dim=2, hermiticity_residual=0.0, involution_residual=0.0,
+                trace=0j, trace_class=0, trace_class_distance=0.0)
+#: Each gate, in the order the gate checks them: the field it reads, its
+#: bound, the first value past it, and the error it raises there.
+GATES = {
+    "cap": ("dim", MAX_DIM, MAX_DIM + 1, ShapeError,
+            "dimension 65 exceeds MAX_DIM = 64"),
+    "hermitian": ("hermiticity_residual", TOL_HERM, np.nextafter(TOL_HERM, np.inf),
+                  DomainError, "not Hermitian: residual 1.000e-10 exceeds 1e-10"),
+    "involution": ("involution_residual", TOL_INV, np.nextafter(TOL_INV, np.inf),
+                   DomainError, "not an involution: residual 1.000e-10 exceeds 1e-10"),
+    "trace": ("trace_class_distance", TOL_SPECTRUM, np.nextafter(TOL_SPECTRUM, np.inf),
+              DomainError,
+              "trace 0j is 1.000e-08 away from the nearest admissible trace class 0"),
+}
+
+
+def gate_numbers(m) -> dict:
+    """The fields of ``validate(m)`` that ``check_operator`` reads."""
+    report = validate(m)
+    return {name: getattr(report, name)
+            for name in inspect.signature(check_operator).parameters}
+
+
+def verdict(gate, *args, **kwargs):
+    """``None`` if ``gate`` admits its arguments, else its error's type and
+    message."""
+    try:
+        gate(*args, **kwargs)
+    except (DomainError, ShapeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckOperator:
+    """``check_operator``, the operator gate on the numbers ``validate``
+    reports, which both ``EigenschaftOp`` and ``validate --strict`` call."""
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_admits_each_number_at_its_bound(self, gate):
+        field, bound, past, error, message = GATES[gate]
+        check_operator(**{**ADMITTED, field: bound})
+        assert verdict(check_operator, **{**ADMITTED, field: past}) == (error, message)
+
+    @pytest.mark.parametrize("failing", [
+        failing for k in range(2, len(GATES) + 1)
+        for failing in itertools.combinations(GATES, k)], ids="+".join)
+    def test_refuses_with_the_first_failing_gate(self, failing):
+        numbers = dict(ADMITTED)
+        for gate in failing:
+            field, _, past, _, _ = GATES[gate]
+            numbers[field] = past
+        _, _, _, error, message = GATES[failing[0]]
+        assert verdict(check_operator, **numbers) == (error, message)
+
+    @pytest.mark.parametrize("m, refused", [
+        (np.array([[1.0, 1e-7], [0.0, -1.0]]), "not Hermitian: residual 1.000e-07"),
+        (np.diag([1.0, -1.0 - 1e-9]), "not an involution: residual 2.000e-09"),
+        (sylvester_hadamard(MAX_DIM) / 8.0 + 3.92e-10 * np.eye(MAX_DIM), "trace (2.5087"),
+        (np.diag([1.0, -1.0] * 32 + [1.0]), "dimension 65 exceeds MAX_DIM = 64"),
+        (sylvester_hadamard(MAX_DIM) / 8.0, None),
+    ] + [
+        (serialize.matrix_from_dict(json.loads(path.read_text())),
+         "not an involution" if path.stem == "rho_tilde" else None)
+        for path in sorted((Path(__file__).parent / "data").glob("*.json"))
+        if path.stem in ("diag_op", "hadamard_op", "rho_tilde")
+    ], ids=["skew", "near-involution", "n64-trace-witness", "n65-involution",
+            "n64-hadamard", "diag_op", "hadamard_op", "rho_tilde"])
+    def test_same_verdict_and_message_as_the_constructor(self, m, refused):
+        expected = verdict(EigenschaftOp, m)
+        assert verdict(check_operator, **gate_numbers(m)) == expected
+        if refused is None:
+            assert expected is None
+        else:
+            assert expected[1].startswith(refused)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_verdict_near_each_gate(self, seed):
+        """Involutions moved from a third of a gate to three times it: by
+        Hermitian and anti-Hermitian perturbations of size ``k TOL_INV``,
+        and a flat n = 64 involution (unit phases on ``S/8``) by ``k
+        TOL_SPECTRUM / 64`` times the identity, which only the trace gate
+        refuses at k = 2.  The gate on ``validate``'s numbers and the
+        constructor refuse the same matrices with the same message."""
+        rng = np.random.default_rng(seed)
+        phases = np.exp(2j * np.pi * rng.random(MAX_DIM))
+        flat = sylvester_hadamard(MAX_DIM) / 8.0 * np.outer(phases, phases.conj())
+        gates = set()
+        for n in (2, 3, 8, 31, 64):
+            h = random_involution(n, rng)
+            d = random_hermitian(n, rng)
+            d /= max_abs(d)
+            for k in (1 / 3, 1 / 2, 1, 2, 3):
+                for m in (h + k * TOL_INV * d, h + 1j * k * TOL_INV * d,
+                          flat + k * TOL_SPECTRUM / MAX_DIM * np.eye(MAX_DIM)):
+                    expected = verdict(EigenschaftOp, m)
+                    assert verdict(check_operator, **gate_numbers(m)) == expected
+                    gates.add(expected and re.match(
+                        "not Hermitian|not an involution|trace", expected[1]).group())
+        assert gates == {None, "not Hermitian", "not an involution", "trace"}
+
+
+def exact_bound(n: int, scale: float) -> float:
+    """How far a reported number may lie from its exact value: ``EXACT_C *
+    n * eps * max(1, scale)``."""
+    return EXACT_C * n * np.finfo(float).eps * max(1.0, float(scale))
+
+
+class TestGateNumbersAgainstExact:
+    """``validate``'s Hermiticity residual, involution residual and trace
+    distance against their exact values for the given floats, computed in
+    integers (``helpers.exact_gate_numbers``).  The inputs are rounded
+    Householder involutions ``I - 2 v v^dag / (v^dag v)`` with ``v`` of
+    Gaussian integers, of both signs, and perturbations of them near the
+    Hermiticity, involution and trace gates."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_reported_within_the_exact_bound(self, n, sign):
+        rng = np.random.default_rng([n, sign + 1])
+        v = rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)
+        v[0] = v[0] or 1
+        h = sign * householder_rational(v)
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        e /= max_abs(e)
+        for m in (h, h + 1e-11 * e, h + TOL_INV * e, h + TOL_INV / 2 * (e + e.conj().T),
+                  h + TOL_SPECTRUM / n * np.eye(n)):
+            report = validate(m)
+            herm, inv, dist, tc = exact_gate_numbers(m)
+            a = np.abs(m)
+            assert report.trace_class == tc
+            assert within_exact(report.hermiticity_residual, herm,
+                                exact_bound(n, (a + a.T).max()))
+            assert within_exact(report.involution_residual, inv,
+                                exact_bound(n, (a @ a).max()))
+            assert within_exact(report.trace_class_distance, dist,
+                                exact_bound(n, np.trace(a)))
+
+    def test_the_bound_sees_a_slip(self):
+        """The check is not vacuous: for ``diag(1, -1 - TOL_INV)`` the bound
+        is 8.9e-16, so the reported involution residual passes and the same
+        number moved by 1e-14 does not."""
+        m = np.diag([1.0, -1.0 - TOL_INV])
+        herm, inv, dist, _ = exact_gate_numbers(m)
+        assert herm == 0
+        reported = validate(m).involution_residual
+        assert within_exact(reported, inv, exact_bound(2, 1.0))
+        assert not within_exact(reported + 1e-14, inv, exact_bound(2, 1.0))
 
 
 class TestBuildH2:
