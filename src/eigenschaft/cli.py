@@ -2,8 +2,8 @@
 
 Machine-readable payloads (JSON or CSV) go to stdout; human diagnostics go
 to stderr.  Exit codes: 0 success, 1 domain error (mathematically invalid
-input), an input too large to allocate or a closed stdout, 2 usage error
-(bad flags, unreadable or malformed files).
+input), an input too large to allocate or a stdout that cannot be written,
+2 usage error (bad flags, unreadable or malformed files, a closed stdin).
 
 Each handler returns its payload, a dict from :mod:`serialize` or CSV
 text, with its exit code.  :func:`main` lays a dict out as the pieces of
@@ -77,6 +77,8 @@ def _seed(text: str) -> int:
 def _load_json(path: str):
     try:
         if path == "-":
+            if sys.stdin is None:  # Python's stdin when descriptor 0 is closed
+                raise UsageError("cannot read -: stdin is closed")
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
@@ -325,12 +327,12 @@ def main(argv=None) -> int:
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
+    except OSError as exc:  # a closed pipe, a full device, ...
         # Point the descriptor at devnull, so the flush at exit cannot raise.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: stdout closed: {exc}", file=sys.stderr)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 1
     return code
 

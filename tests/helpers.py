@@ -19,6 +19,12 @@ import numpy as np
 EXACT_C = 2
 
 
+def exact_bound(n: int, scale: float) -> float:
+    """How far a reported number may lie from its exact value: ``EXACT_C *
+    n * eps * max(1, scale)``."""
+    return EXACT_C * n * np.finfo(float).eps * max(1.0, float(scale))
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -114,6 +120,30 @@ def exact_gate_numbers(m) -> tuple[Fraction, Fraction, Fraction, int]:
     k = max(-n, min(n, k))
     dist = (tr_re - k * d) ** 2 + tr_im ** 2
     return Fraction(herm, d * d), Fraction(inv, d ** 4), Fraction(dist, d * d), k
+
+
+def exact_decomposition(a, psi) -> tuple[Fraction, Fraction]:
+    """The exact mean and dispersion that ``decompose_state`` computes for
+    the floats of the matrix ``a`` and the amplitudes ``psi``, by its own
+    formula: ``mean = Re psi^dag (a psi)``, then the squared length of
+    ``a psi - mean psi`` with ``psi`` projected out.  Complex numbers are
+    pairs of ``Fraction``."""
+    def pairs(values):
+        return [(Fraction(z.real), Fraction(z.imag)) for z in values]
+
+    x = pairs(psi.tolist())
+    image = []
+    for row in a.tolist():
+        terms = list(zip(pairs(row), x))
+        image.append((sum(p * u - q * w for (p, q), (u, w) in terms),
+                      sum(p * w + q * u for (p, q), (u, w) in terms)))
+    mean = sum(u * p + w * q for (u, w), (p, q) in zip(x, image))
+    r = [(p - mean * u, q - mean * w) for (p, q), (u, w) in zip(image, x)]
+    c_re = sum(u * p + w * q for (u, w), (p, q) in zip(x, r))
+    c_im = sum(u * q - w * p for (u, w), (p, q) in zip(x, r))
+    r = [(p - c_re * u + c_im * w, q - c_re * w - c_im * u)
+         for (p, q), (u, w) in zip(r, x)]
+    return mean, sum(p * p + q * q for p, q in r)
 
 
 def within_exact(value: float, exact_square: Fraction, bound: float) -> bool:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -549,16 +550,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("noise", ["0", "0.1"])
     @pytest.mark.parametrize("mode", [[], ["--fringes"]], ids=["report", "fringes"])
-    def test_negative_seed_is_usage_error(self, noise, mode):
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", "simulate", "--state", EQUAL_STATE,
-             "--phases", "16", "--noise", noise, "--seed", "-1", *mode],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.endswith(
+    def test_negative_seed_is_usage_error(self, capsys, noise, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--state", EQUAL_STATE, "--phases", "16",
+                  "--noise", noise, "--seed", "-1", *mode])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
             "error: argument --seed: seed must be a nonnegative integer, got '-1'\n"
         )
 
@@ -671,39 +670,26 @@ class TestPipeline:
             ],
         ],
     )
-    def test_construct_then_strict_validate(self, argv):
-        build = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", *argv],
-            capture_output=True, text=True,
-        )
-        assert build.returncode == 0, build.stderr
-        check = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", "validate", "-", "--strict"],
-            input=build.stdout, capture_output=True, text=True,
-        )
-        assert check.returncode == 0, check.stderr
+    def test_construct_then_strict_validate(self, capsys, monkeypatch, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, _, err = run_cli(capsys, "validate", "-", "--strict")
+        assert code == 0, err
 
-    def test_convert_flip_roundtrip_through_files(self, tmp_path):
-        ps = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", "convert", "--op", HADAMARD_OP],
-            capture_output=True, text=True,
-        )
-        assert ps.returncode == 0
-        payload = json.loads(ps.stdout)
+    def test_convert_flip_roundtrip_through_files(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "convert", "--op", HADAMARD_OP)
+        assert code == 0
+        payload = json.loads(out)
         ps_file = tmp_path / "ps.json"
         ps_file.write_text(json.dumps(
             {"dim": payload["dim"], "projectors": payload["projectors"]}
         ))
         signs = ",".join(str(s) for s in payload["signs"])
-        rebuild = subprocess.run(
-            [
-                sys.executable, "-m", "eigenschaft", "construct", "flip",
-                "--projectors", str(ps_file), f"--signs={signs}",
-            ],
-            capture_output=True, text=True,
-        )
-        assert rebuild.returncode == 0, rebuild.stderr
-        m = matrix_from_dict(json.loads(rebuild.stdout))
+        code, out, err = run_cli(capsys, "construct", "flip",
+                                 "--projectors", str(ps_file), f"--signs={signs}")
+        assert code == 0, err
+        m = matrix_from_dict(json.loads(out))
         assert max_abs(m - np.array([[1, 1], [1, -1]]) / np.sqrt(2)) <= 1e-9
 
 
@@ -768,17 +754,10 @@ class TestOverflowingNumbers:
          '{"dim": 2, "amplitudes": [[1.0, 0.0], [0, %s]]}',
          "amplitudes[1] must be finite"),
     ], ids=["validate-entries", "simulate-amplitudes"])
-    def test_exit_2_without_traceback(self, tmp_path, argv, payload, message):
+    def test_exit_2_without_traceback(self, capsys, tmp_path, argv, payload, message):
         f = tmp_path / "huge.json"
         f.write_text(payload % self.HUGE)
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", *argv, str(f)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr == f"malformed input: {message}\n"
+        assert run_cli(capsys, *argv, str(f)) == (2, "", f"malformed input: {message}\n")
 
 
 class TestUnreadableInput:
@@ -786,29 +765,30 @@ class TestUnreadableInput:
 
     DEEP = b"[" * 200000
 
-    @pytest.mark.parametrize("source, data, env, message", [
-        ("file", b"\xff\xfe\x00bad", {}, "is not UTF-8 text"),
-        ("stdin", b"\xff\xfe\x00bad", {"PYTHONIOENCODING": "utf-8:strict"},
-         "- is not UTF-8 text"),
-        ("file", DEEP, {}, "is nested too deeply"),
-        ("stdin", DEEP, {}, "- is nested too deeply"),
+    @pytest.mark.parametrize("source, data, message", [
+        ("file", b"\xff\xfe\x00bad", "is not UTF-8 text"),
+        ("stdin", b"\xff\xfe\x00bad", "- is not UTF-8 text"),
+        ("file", DEEP, "is nested too deeply"),
+        ("stdin", DEEP, "- is nested too deeply"),
     ], ids=["non-utf8-file", "non-utf8-stdin", "deep-file", "deep-stdin"])
-    def test_exit_2_without_traceback(self, tmp_path, monkeypatch, source, data,
-                                      env, message):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_exit_2_without_traceback(self, capsys, tmp_path, monkeypatch, source,
+                                      data, message):
         f = tmp_path / "bad.json"
         f.write_bytes(data)
-        path, stdin = (str(f), None) if source == "file" else ("-", data)
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", "validate", path],
-            input=stdin, capture_output=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert b"Traceback" not in proc.stderr
-        assert proc.stderr.startswith(b"error: ")
-        assert message.encode() in proc.stderr
+        path = str(f) if source == "file" else "-"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="strict"))
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_closed_stdin_is_a_usage_error(self, capsys, monkeypatch):
+        """Python sets ``sys.stdin`` to ``None`` when descriptor 0 is
+        closed (``eigenschaft validate - <&-``)."""
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run_cli(capsys, "validate", "-") == (
+            2, "", "error: cannot read -: stdin is closed\n")
 
 
 class TestWritingStdout:
@@ -831,16 +811,19 @@ class TestWritingStdout:
         assert (code, out) == (1, "")
         assert err == "error: out of memory: allocation failed\n"
 
-    @pytest.mark.parametrize("unbuffered", [False, True],
-                             ids=["buffered", "unbuffered"])
-    def test_closed_pipe_is_one_error_line(self, tmp_path, unbuffered):
+    @pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
+    def env(self, request):
+        """The environment of a child whose stdout is buffered, or not."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if request.param:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    def test_closed_pipe_is_one_error_line(self, tmp_path, env):
         """The reader takes 20 bytes of a 0.34 MB ``convert --op`` output and
         closes the pipe: exit 1 with one line, in both stdout modes."""
         path = tmp_path / "s16.json"
         path.write_text(dumps(op_to_dict(EigenschaftOp(sylvester_hadamard(16) / 4))))
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         with subprocess.Popen(
             [sys.executable, "-m", "eigenschaft", "convert", "--op", str(path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -850,8 +833,23 @@ class TestWritingStdout:
             err = proc.stderr.read().decode()
             code = proc.wait(timeout=60)
         assert code == 1
-        assert err.startswith("error: stdout closed: ")
+        assert err.startswith("error: cannot write stdout: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_one_error_line(self, env):
+        """Any error writing stdout, here ENOSPC, is one line and exit 1, in
+        both stdout modes."""
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "eigenschaft", "construct", "h2",
+                 "--gamma", "45", "--dphi", "0"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: cannot write stdout: [Errno {errno.ENOSPC}] ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):
@@ -866,11 +864,13 @@ def test_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):
         assert err.startswith(f"error: {f} is not valid JSON: Exceeds the limit")
 
 
+@pytest.mark.filterwarnings("error")
 class TestNearFloatLimit:
     """Numbers above ``MAX_MAGNITUDE``, up to the float limit, are refused
     where they enter: the message names the caller's argument and is the
-    only line on stderr, with no numpy warning ahead of it and nothing on
-    stdout."""
+    only line on stderr, with nothing on stdout.  A numpy warning raised on
+    the way fails the test; one request runs as a process too, where such a
+    warning would be text on stderr ahead of the message."""
 
     SYMMETRIC = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}'
     SKEW = '{"dim": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}'
@@ -890,16 +890,20 @@ class TestNearFloatLimit:
     ], ids=["classify-symmetric", "classify-skew", "convert-skew",
             "convert-symmetric", "validate-symmetric", "validate-skew",
             "validate-diagonal"])
-    def test_one_error_line(self, tmp_path, argv, payload, message):
+    def test_one_error_line(self, capsys, tmp_path, argv, payload, message):
         f = tmp_path / "huge.json"
         f.write_text(payload)
+        assert run_cli(capsys, *argv, str(f)) == (1, "", f"error: {message}\n")
+
+    def test_one_error_line_in_a_process(self, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text(self.SYMMETRIC)
         proc = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", *argv, str(f)],
+            [sys.executable, "-m", "eigenschaft", "validate", str(f)],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: {message}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: {self.MATRIX}\n")
 
     @pytest.mark.parametrize("argv, files, message", [
         (["decompose", "--op", "{0}", "--state", "{1}"], [SYMMETRIC, E1], MATRIX),
@@ -907,19 +911,13 @@ class TestNearFloatLimit:
          "amplitudes must be finite and at most 1e+100 in magnitude"),
         (["classify", "--rho", "{0}"], [DIAGONAL], MATRIX),
     ], ids=["decompose", "simulate", "classify-trace"])
-    def test_state_paths(self, tmp_path, argv, files, message):
+    def test_state_paths(self, capsys, tmp_path, argv, files, message):
         paths = []
         for k, payload in enumerate(files):
             paths.append(tmp_path / f"in{k}.json")
             paths[-1].write_text(payload)
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenschaft",
-             *[a.format(*paths) for a in argv]],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: {message}\n"
+        assert run_cli(capsys, *[a.format(*paths) for a in argv]) == (
+            1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["evolve", "--op", HADAMARD_OP, "--omega1", "3", "--omega2", "0.5",
@@ -931,19 +929,12 @@ class TestNearFloatLimit:
         (["evolve", "--op", HADAMARD_OP, "--omega1", "3", "--omega2", "0.5",
           "--time", "1e308"], "time"),
     ], ids=["times", "detuning", "noise", "time"])
-    def test_derived_overflow(self, argv, message):
+    def test_derived_overflow(self, capsys, argv, message):
         """Each argument is a float, but the phase it drives (detuning times
         time) or the intensities it perturbs would overflow; the argument
         itself is refused."""
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenschaft", *argv],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == (
-            f"error: {message} must be finite and at most 1e+100 in magnitude\n"
-        )
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: {message} must be finite and at most 1e+100 in magnitude\n")
 
 
 class TestParserReuse:

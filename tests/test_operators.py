@@ -45,7 +45,7 @@ from eigenschaft.operators import (
 )
 
 from helpers import (
-    EXACT_C,
+    exact_bound,
     exact_gate_numbers,
     haar_unitary,
     householder_rational,
@@ -364,12 +364,6 @@ class TestCheckOperator:
                     gates.add(expected and re.match(
                         "not Hermitian|not an involution|trace", expected[1]).group())
         assert gates == {None, "not Hermitian", "not an involution", "trace"}
-
-
-def exact_bound(n: int, scale: float) -> float:
-    """How far a reported number may lie from its exact value: ``EXACT_C *
-    n * eps * max(1, scale)``."""
-    return EXACT_C * n * np.finfo(float).eps * max(1.0, float(scale))
 
 
 class TestGateNumbersAgainstExact:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from eigenschaft.states import (
     superpose,
 )
 
-from helpers import random_hermitian, random_state
+from helpers import exact_bound, exact_decomposition, random_hermitian, random_state
 
 
 def e(dim, k):
@@ -212,6 +214,30 @@ class TestDecomposeState:
             second_moment = np.vdot(image, image).real
             d = decompose_state(a, StateVector(psi))
             assert d.dispersion == pytest.approx(second_moment - mean**2, rel=1e-12)
+
+
+class TestDecomposeAgainstExact:
+    """``decompose_state``'s mean and dispersion against their exact values
+    for the given floats (``helpers.exact_decomposition``), within
+    ``EXACT_C * n * eps * max(1, s)`` for the mean and ``max(1, s**2)`` for
+    the dispersion, ``s = sum |psi_i| |a_ij| |psi_j|``.  The operators are
+    Hermitian at scales 1e-3 to 1e3; the states are random, or eigenvectors
+    moved by about 1e-9."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reported_within_the_exact_bound(self, n):
+        rng = np.random.default_rng([n, 6])
+        for scale in np.logspace(-3, 3, 10):
+            a = scale * random_hermitian(n, rng)
+            eigenvector = np.linalg.eigh(a)[1][:, rng.integers(n)]
+            for amplitudes in (random_state(n, rng),
+                               eigenvector + 1e-9 * random_state(n, rng)):
+                psi = StateVector.normalized(amplitudes)
+                d = decompose_state(a, psi)
+                mean, dispersion = exact_decomposition(a, psi.amplitudes)
+                s = np.abs(psi.amplitudes) @ np.abs(a) @ np.abs(psi.amplitudes)
+                assert abs(Fraction(d.mean) - mean) <= exact_bound(n, s)
+                assert abs(Fraction(d.dispersion) - dispersion) <= exact_bound(n, s * s)
 
 
 class TestOuterProduct:
