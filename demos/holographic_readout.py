@@ -1,9 +1,10 @@
 """Amplitude and phase from one fringe sweep.
 
 A 50/50 splitter interferes the two components of a state while a
-controllable phase sweeps the second arm.  The port-1 intensity traces
-I1(phi) = 1/2 + |a||b| cos(phi + delta), so a three-coefficient cosine fit
-recovers the magnitude pair and the relative phase delta simultaneously.
+controllable phase sweeps the second arm.  The two port intensities trace
+I1,2(phi) = 1/2 +- |a||b| cos(phi + delta), so one three-coefficient
+cosine fit to both ports recovers the magnitude pair and the relative
+phase delta simultaneously.
 The splitter participates in the detection without collapsing anything:
 the full complex description of the state survives into the record.
 """

@@ -6,9 +6,11 @@ input), an input too large to allocate or a stdout that cannot be written,
 2 usage error (bad flags, unreadable or malformed files, a closed stdin).
 
 Each handler returns its payload, a dict from :mod:`serialize` or CSV
-text, with its exit code.  :func:`main` lays a dict out as the pieces of
-:func:`serialize.chunked_dumps` and writes stdout once, after every piece
-is built, so a command that fails leaves stdout empty.
+text, with ``None`` or the stderr line of a refusal that keeps its payload
+(exit 1); no handler writes a stream.  :func:`main` lays a dict out as the
+pieces of :func:`serialize.chunked_dumps` and writes stdout once, after
+every piece is built, so a command that fails leaves stdout empty.  A
+stderr line that cannot be written is dropped; the exit code stands.
 
 Angles on the command line are degrees; the library works in radians.
 """
@@ -51,6 +53,11 @@ _KRON_MEMBERS = {"ib": 0, "ai": 1, "ab": 2}
 
 class UsageError(Exception):
     """Command-level usage problem; maps to exit code 2."""
+
+
+#: The exit code and stderr prefix of each error a request raises; first match wins.
+_ERRORS = ((UsageError, 2, "error: "), (SerializationError, 2, "malformed input: "),
+           (EigenschaftError, 1, "error: "), (MemoryError, 1, "error: out of memory: "))
 
 
 def _csv(convert, noun: str):
@@ -99,39 +106,39 @@ def _read_op(path: str):
     return serialize.op_from_dict(_load_json(path))
 
 
-def _cmd_construct_h2(args) -> tuple[dict | str, int]:
+def _cmd_construct_h2(args) -> tuple[dict | str, str | None]:
     params = H2Params(
         gamma_angle=math.radians(args.gamma), delta_phi=math.radians(args.dphi)
     )
-    return serialize.op_to_dict(build_h2(params)), 0
+    return serialize.op_to_dict(build_h2(params)), None
 
 
-def _cmd_construct_diag(args) -> tuple[dict | str, int]:
+def _cmd_construct_diag(args) -> tuple[dict | str, str | None]:
     spec = DiagSpec(
         dim=args.dim,
         alphas=tuple(args.alphas),
         trace_sign=args.sign,
         phases=tuple(math.radians(p) for p in args.phases),
     )
-    return serialize.op_to_dict(build_from_diag(spec)), 0
+    return serialize.op_to_dict(build_from_diag(spec)), None
 
 
-def _cmd_construct_kron(args) -> tuple[dict | str, int]:
+def _cmd_construct_kron(args) -> tuple[dict | str, str | None]:
     family = build_kron_family(_read_op(args.a), _read_op(args.b))
     if args.member is not None:
         op = family[_KRON_MEMBERS[args.member]]
-        return serialize.op_to_dict(op), 0
-    return serialize.family_to_dict(family), 0
+        return serialize.op_to_dict(op), None
+    return serialize.family_to_dict(family), None
 
 
-def _cmd_construct_flip(args) -> tuple[dict | str, int]:
+def _cmd_construct_flip(args) -> tuple[dict | str, str | None]:
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
     op = from_projector_flip(ps, args.signs)
-    return serialize.op_to_dict(op), 0
+    return serialize.op_to_dict(op), None
 
 
-def _cmd_validate(args) -> tuple[dict | str, int]:
-    """Residual report; ``--strict`` exits 1 unless ``check_operator`` admits it."""
+def _cmd_validate(args) -> tuple[dict | str, str | None]:
+    """Residual report; ``--strict`` refuses it unless ``check_operator`` admits it."""
     r = validate(serialize.matrix_from_dict(_load_json(args.matrix)))
     payload = serialize.validation_report_to_dict(r)
     if args.strict:
@@ -141,46 +148,45 @@ def _cmd_validate(args) -> tuple[dict | str, int]:
                            trace_class=r.trace_class,
                            trace_class_distance=r.trace_class_distance)
         except (DomainError, ShapeError) as exc:
-            print(f"strict gate failed: {exc}", file=sys.stderr)
-            return payload, 1
-    return payload, 0
+            return payload, f"strict gate failed: {exc}"
+    return payload, None
 
 
-def _cmd_convert(args) -> tuple[dict | str, int]:
+def _cmd_convert(args) -> tuple[dict | str, str | None]:
     if args.op is not None:
         if args.family is not None:
             raise UsageError("argument --family: not allowed with argument --op")
         decomposition = to_projectors(_read_op(args.op))
-        return serialize.projector_decomposition_to_dict(decomposition), 0
+        return serialize.projector_decomposition_to_dict(decomposition), None
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
     family = complement_family(ps, kind=args.family or "flip")
-    return serialize.family_to_dict(family), 0
+    return serialize.family_to_dict(family), None
 
 
-def _cmd_decompose(args) -> tuple[dict | str, int]:
+def _cmd_decompose(args) -> tuple[dict | str, str | None]:
     operator = serialize.matrix_from_dict(_load_json(args.op))
     state = serialize.state_from_dict(_load_json(args.state))
     dec = decompose_state(operator, state)
-    return serialize.decomposition_to_dict(dec), 0
+    return serialize.decomposition_to_dict(dec), None
 
 
-def _cmd_classify(args) -> tuple[dict | str, int]:
+def _cmd_classify(args) -> tuple[dict | str, str | None]:
     rho = DensityMatrix(serialize.matrix_from_dict(_load_json(args.rho)))
-    return serialize.classification_to_dict(classify(rho)), 0
+    return serialize.classification_to_dict(classify(rho)), None
 
 
-def _cmd_evolve(args) -> tuple[dict | str, int]:
+def _cmd_evolve(args) -> tuple[dict | str, str | None]:
     system = TwoLevelSystem(
         omega1=args.omega1, omega2=args.omega2, h2=_read_op(args.op)
     )
     if args.time is not None:
         op = evolve_h2(system, args.time)
-        return serialize.op_to_dict(op), 0
+        return serialize.op_to_dict(op), None
     samples = beat_trace(system, args.times)
-    return serialize.beat_trace_csv(samples), 0
+    return serialize.beat_trace_csv(samples), None
 
 
-def _cmd_simulate(args) -> tuple[dict | str, int]:
+def _cmd_simulate(args) -> tuple[dict | str, str | None]:
     state = serialize.state_from_dict(_load_json(args.state))
     splitter = hadamard() if args.splitter is None else _read_op(args.splitter)
     cfg = InterferometerConfig(
@@ -190,9 +196,9 @@ def _cmd_simulate(args) -> tuple[dict | str, int]:
     )
     if args.fringes:
         fringe = run_interferometer(state, cfg, rng_seed=args.seed)
-        return serialize.fringe_csv(fringe), 0
+        return serialize.fringe_csv(fringe), None
     report = holographic_report(state, cfg, seed=args.seed)
-    return serialize.holographic_report_to_dict(report), 0
+    return serialize.holographic_report_to_dict(report), None
 
 
 @functools.cache
@@ -304,37 +310,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(line: str) -> None:
+    """Write ``line`` to stderr; like argparse, drop it if stderr is None or fails."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, code = args.handler(args)
-        pieces = ([payload] if isinstance(payload, str)
+        payload, refusal = args.handler(args)
+        # A final newline of its own: unbuffered, a write cut short is silent,
+        # so a later write must be there to fail.
+        pieces = ([payload[:-1], payload[-1:]] if isinstance(payload, str)
                   else serialize.chunked_dumps(payload))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SerializationError as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return 2
-    except EigenschaftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
-              file=sys.stderr)
-        return 1
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        code, prefix = next((c, p) for kind, c, p in _ERRORS if isinstance(exc, kind))
+        _say(prefix + (str(exc) or "allocation failed"))
+        return code
     try:
+        if sys.stdout is None:  # Python's stdout when descriptor 1 is closed
+            raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
-    except OSError as exc:  # a closed pipe, a full device, ...
-        # Point the descriptor at devnull, so the flush at exit cannot raise.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    except OSError as exc:  # closed, a closed pipe, a full device, ...
+        if sys.stdout is not None:
+            # Point the descriptor at devnull, so the flush at exit cannot raise.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        _say(f"error: cannot write stdout: {exc}")
         return 1
-    return code
+    if refusal is not None:
+        _say(refusal)
+        return 1
+    return 0
 
 
 def entry_point() -> None:

@@ -8,9 +8,10 @@ point.  From the sampled fringe a cosine fit recovers both arm magnitudes
 and the relative phase simultaneously: amplitude and phase information in
 one pass.
 
-Recovery assumes the symmetric 50/50 splitter, for which the port-1
-intensity obeys ``I1(phi) = 1/2 + |a||b| cos(phi + delta)`` with ``delta``
-the relative phase of the input arms; ``holographic_report`` refuses any
+Recovery assumes the symmetric 50/50 splitter, for which the two ports
+obey ``I1(phi) = 1/2 + |a||b| cos(phi + delta)`` and ``I2(phi) = 1/2 -
+|a||b| cos(phi + delta)`` with ``delta`` the relative phase of the input
+arms, so one fit reads both ports; ``holographic_report`` refuses any
 splitter without ``conj(H00) H01 = 1/2``.  The fit cannot tell which arm
 owns which magnitude, so magnitudes are reported in descending order and
 flagged as conventional.
@@ -174,11 +175,13 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
 def recover_state(fr: FringeRecord) -> RecoveryResult:
     """Invert a fringe record into arm magnitudes and relative phase.
 
-    Fits ``I1(phi)`` by linear least squares on the basis ``{1, cos phi,
-    sin phi}``, with one step of iterative refinement.  The fitted offset ``C`` and visibility ``V`` determine the
-    magnitudes through ``mag1^2 + mag2^2 = 2C`` and ``2 mag1 mag2 = V``;
-    the phase comes from the quadrature coefficients.  A fringe with
-    ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
+    Fits both ports in one linear least-squares problem, with one step of
+    iterative refinement: rows ``[1, cos phi, sin phi]`` against ``I1`` and
+    ``[1, -cos phi, -sin phi]`` against ``I2``, for the coefficients ``C,
+    c1, c2``.  The fitted offset ``C`` and visibility ``V = 2 hypot(c1,
+    c2)`` determine the magnitudes through ``mag1^2 + mag2^2 = 2C`` and
+    ``2 mag1 mag2 = V``; the phase comes from the quadrature coefficients.
+    A fringe with ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
     """
     phases = fr.phases
     # Three distinct values exist iff one lies strictly between the extremes.
@@ -187,21 +190,18 @@ def recover_state(fr: FringeRecord) -> RecoveryResult:
     r = np.round(wrap_phase(phases), PHASE_DECIMALS)
     if not np.any((r > r.min()) & (r < r.max())):
         raise FitError("need at least 3 distinct sweep phases (mod 2 pi)")
-    design = np.column_stack(
-        [np.ones(phases.size), np.cos(phases), np.sin(phases)]
-    )
-    coeffs, _, rank, _ = np.linalg.lstsq(design, fr.intensity_port1, rcond=None)
+    port1 = np.column_stack([np.ones(phases.size), np.cos(phases), np.sin(phases)])
+    design = np.concatenate([port1, port1 * [1.0, -1.0, -1.0]])
+    target = np.concatenate([fr.intensity_port1, fr.intensity_port2])
+    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 3:
         raise FitError("degenerate phase design: sweep does not span a fringe")
     # One step of iterative refinement on the same design: the magnitude
     # split is sqrt(2C - V), so roundoff d in the fitted 2C - V costs about
     # sqrt(d) / 2 in each magnitude.
-    coeffs = coeffs + np.linalg.lstsq(
-        design, fr.intensity_port1 - design @ coeffs, rcond=None)[0]
+    coeffs = coeffs + np.linalg.lstsq(design, target - design @ coeffs, rcond=None)[0]
     c0, c1, c2 = (float(c) for c in coeffs)
-    residual_rms = float(
-        np.sqrt(np.mean((design @ coeffs - fr.intensity_port1) ** 2))
-    )
+    residual_rms = float(np.sqrt(np.mean((design @ coeffs - target) ** 2)))
     visibility = 2.0 * float(np.hypot(c1, c2))
     offset = c0
     if offset <= 0.0:

@@ -152,3 +152,24 @@ def within_exact(value: float, exact_square: Fraction, bound: float) -> bool:
     lo = max(Fraction(value) - Fraction(bound), Fraction(0))
     hi = Fraction(value) + Fraction(bound)
     return lo * lo <= exact_square <= hi * hi
+
+
+def exact_fringe_fit(phases, i1, i2) -> list[Fraction]:
+    """The exact least-squares coefficients ``c0, c1, c2`` of the fit that
+    ``recover_state`` makes for the floats it fits: rows ``[1, cos phi, sin
+    phi]`` against ``I1`` and ``[1, -cos phi, -sin phi]`` against ``I2``,
+    with ``cos`` and ``sin`` as numpy rounds them.  The normal equations
+    are solved by elimination in ``Fraction``s; they are positive definite
+    for a design of rank 3, so no pivot is zero."""
+    cos, sin = np.cos(phases).tolist(), np.sin(phases).tolist()
+    rows = [(1, sign * c, sign * s, y)
+            for sign, port in ((1, i1), (-1, i2))
+            for c, s, y in zip(cos, sin, np.asarray(port).tolist())]
+    rows = [[Fraction(x) for x in row] for row in rows]
+    m = [[sum(r[i] * r[j] for r in rows) for j in range(4)] for i in range(3)]
+    for k in range(3):
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(3):
+            if i != k:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    return [row[3] for row in m]

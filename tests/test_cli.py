@@ -811,6 +811,13 @@ class TestWritingStdout:
         assert (code, out) == (1, "")
         assert err == "error: out of memory: allocation failed\n"
 
+    def test_closed_stdout_is_one_error_line(self, capsys, monkeypatch):
+        """Python sets ``sys.stdout`` to ``None`` when descriptor 1 is closed."""
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["construct", "h2", "--gamma", "45", "--dphi", "0"])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: cannot write stdout: stdout is closed\n")
+
     @pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
     def env(self, request):
         """The environment of a child whose stdout is buffered, or not."""
@@ -819,13 +826,20 @@ class TestWritingStdout:
             env["PYTHONUNBUFFERED"] = "1"
         return env
 
-    def test_closed_pipe_is_one_error_line(self, tmp_path, env):
-        """The reader takes 20 bytes of a 0.34 MB ``convert --op`` output and
-        closes the pipe: exit 1 with one line, in both stdout modes."""
+    @pytest.mark.parametrize("payload", ["convert-op", "fringes"])
+    def test_closed_pipe_is_one_error_line(self, tmp_path, env, payload):
+        """The reader takes 20 bytes of a 0.34 MB ``convert --op`` output, or
+        of the 3.8 MB 65536-phase fringe CSV, and closes the pipe: exit 1
+        with one line, in both stdout modes.  Unbuffered, the text layer
+        drops the count of a write cut short, so the CSV's final newline, a
+        write of its own, is the one that fails."""
         path = tmp_path / "s16.json"
         path.write_text(dumps(op_to_dict(EigenschaftOp(sylvester_hadamard(16) / 4))))
+        argv = {"convert-op": ["convert", "--op", str(path)],
+                "fringes": ["simulate", "--state", EQUAL_STATE, "--phases", "65536",
+                            "--fringes"]}[payload]
         with subprocess.Popen(
-            [sys.executable, "-m", "eigenschaft", "convert", "--op", str(path)],
+            [sys.executable, "-m", "eigenschaft", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         ) as proc:
             assert len(proc.stdout.read(20)) == 20
@@ -850,6 +864,28 @@ class TestWritingStdout:
         assert proc.stderr.startswith(
             f"error: cannot write stdout: [Errno {errno.ENOSPC}] ")
         assert proc.stderr.count("\n") == 1
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("stderr", [None, _FullStream()], ids=["closed", "full"])
+class TestWritingStderr:
+    """A stderr line that cannot be written is dropped: the exit code and
+    stdout are what they would be with the line written."""
+
+    def test_usage_error_keeps_exit_2(self, capsys, monkeypatch, stderr):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert run_cli(capsys, "validate", "missing.json") == (2, "", "")
+
+    def test_strict_refusal_keeps_its_report(self, capsys, monkeypatch, tmp_path,
+                                             stderr):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code, out, _ = run_cli(capsys, "validate", _near_hadamard(tmp_path), "--strict")
+        assert code == 1
+        assert json.loads(out)["involution_residual"] > 1e-10
 
 
 def test_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from eigenschaft.operators import (
     wrap_phase,
 )
 from eigenschaft.states import StateVector
+
+from helpers import exact_bound, exact_fringe_fit, within_exact
 
 
 def config(n=16, sigma=0.0, splitter=None):
@@ -235,11 +239,11 @@ class TestRecoverState:
         np.array([0.3, 0.3 + 1e-5, 0.3 + 2e-5, 0.3 + 3e-5]),
     ])
     def test_rank_gate_matches_matrix_rank(self, phases):
-        """The fit's rank gate counts singular values as
-        ``np.linalg.matrix_rank`` does, near-duplicate phases included."""
-        design = np.column_stack(
-            [np.ones(phases.size), np.cos(phases), np.sin(phases)]
-        )
+        """The fit's rank gate counts singular values of its design, both
+        ports stacked, as ``np.linalg.matrix_rank`` does, near-duplicate
+        phases included."""
+        port1 = np.column_stack([np.ones(phases.size), np.cos(phases), np.sin(phases)])
+        design = np.concatenate([port1, port1 * [1.0, -1.0, -1.0]])
         cfg = InterferometerConfig(splitter=hadamard(), sweep_phases=phases)
         fr = run_interferometer(two_arm_state(0.6, 0.8, 0.3), cfg)
         if np.linalg.matrix_rank(design) < 3:
@@ -249,11 +253,12 @@ class TestRecoverState:
             recover_state(fr)
 
     def test_unphysical_fringe_rejected(self):
-        # A single spike fits to V = 1 with offset C = 0.25: V > 2C + tol.
+        # A single spike in port 1 over a dark port 2 fits to V = 0.5 with
+        # offset C = 0.125: V > 2C + tol.
         fr = FringeRecord(
             phases=uniform_sweep(4),
             intensity_port1=np.array([0.0, 0.0, 1.0, 0.0]),
-            intensity_port2=np.full(4, 0.5),
+            intensity_port2=np.zeros(4),
         )
         with pytest.raises(FitError, match="visibility"):
             recover_state(fr)
@@ -279,6 +284,31 @@ class TestRecoverState:
             assert abs(rec.mag2 - mags[1]) <= 1e-8
             delta = wrap_phase(float(np.angle(b) - np.angle(a)))
             assert abs(wrap_phase(rec.relative_phase - delta)) <= 1e-8
+
+
+class TestFitAgainstExact:
+    """``recover_state``'s offset and visibility against the exact
+    least-squares solution of its stacked fit for the given floats
+    (``helpers.exact_fringe_fit``), within ``EXACT_C * N * eps``: ``offset``
+    against ``c0``, and ``visibility / 2`` against ``sqrt(c1**2 + c2**2)``
+    through exact squares.  Sweeps are uniform or random, states random,
+    and half the fringes carry noise of sigma 0.01."""
+
+    @pytest.mark.parametrize("n", [*range(3, 17), 31, 32, 64])
+    def test_reported_within_the_exact_bound(self, n):
+        rng = np.random.default_rng([n, 7])
+        for sweep in (uniform_sweep(n), np.sort(rng.uniform(0.0, 2 * np.pi, n))):
+            for sigma in (0.0, 0.01) * 3:
+                state = StateVector.normalized(rng.normal(size=2) + 1j * rng.normal(size=2))
+                cfg = InterferometerConfig(splitter=hadamard(), sweep_phases=sweep,
+                                           shot_noise_sigma=sigma)
+                fr = run_interferometer(state, cfg, rng_seed=int(rng.integers(2**31)))
+                fit = recover_state(fr).diagnostics
+                c0, c1, c2 = exact_fringe_fit(fr.phases, fr.intensity_port1,
+                                              fr.intensity_port2)
+                assert abs(Fraction(fit.offset) - c0) <= exact_bound(n, 1.0)
+                assert within_exact(fit.visibility / 2, c1 * c1 + c2 * c2,
+                                    exact_bound(n, 1.0))
 
 
 class TestHolographicReport:
@@ -312,6 +342,15 @@ class TestHolographicReport:
                 if max(err.mag1, err.mag2) > 1e-8:
                     misses.append((n, d, max(err.mag1, err.mag2)))
         assert misses == []
+
+    def test_three_phase_near_equal_arms(self):
+        """The one miss of a ten-seed scan of the port-1 fit, 1.0018e-8 at
+        N = 3; with both ports fitted it is 5.2e-10."""
+        d = 1.4677992676220676e-09
+        state = two_arm_state(np.sqrt((1 + d) / 2), np.sqrt((1 - d) / 2),
+                              1.8665422699470895)
+        err = holographic_report(state, config(3)).truth_error
+        assert max(err.mag1, err.mag2) <= 1e-8
 
     def test_noisy_phase_error_within_regression_bound(self):
         state = two_arm_state(*(1 / np.sqrt(2),) * 2, 0.0)
