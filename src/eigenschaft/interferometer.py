@@ -1,24 +1,19 @@
 """Two-port interferometer with a Hermitian-involution beam splitter.
 
-A controllable phase is applied to the second component of a two-component
-state, the splitter mixes the components, and both output intensities are
-recorded over the phase sweep.  Because the splitter is an involution it is
-unitary, so at zero noise the two intensities sum to one at every sweep
-point.  From the sampled fringe a cosine fit recovers both arm magnitudes
-and the relative phase simultaneously: amplitude and phase information in
-one pass.
+A controllable phase is swept on the second arm of a two-component state,
+the splitter mixes the arms, and both output intensities are recorded; the
+splitter is unitary, so at zero noise they sum to one.  One cosine fit of
+the fringe recovers both arm magnitudes and the relative phase at once.
 
-Recovery assumes the symmetric 50/50 splitter, for which the two ports
-obey ``I1(phi) = 1/2 + |a||b| cos(phi + delta)`` and ``I2(phi) = 1/2 -
-|a||b| cos(phi + delta)`` with ``delta`` the relative phase of the input
-arms, so one fit reads both ports; ``holographic_report`` refuses any
-splitter without ``conj(H00) H01 = 1/2``.  The fit cannot tell which arm
-owns which magnitude, so magnitudes are reported in descending order and
-flagged as conventional.
+Recovery assumes the 50/50 splitter, ``conj(H00) H01 = 1/2``, for which
+``I1, I2 = 1/2 +- |a||b| cos(phi + delta)``, ``delta`` being the relative
+phase of the arms.  The fit cannot tell which arm owns which magnitude, so
+magnitudes are reported in descending order, by convention.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +31,8 @@ UNPHYSICAL_TOL = 0.05
 #: Wrapped sweep phases equal to this many decimals count as one phase in
 #: ``recover_state``'s three-phase gate.
 PHASE_DECIMALS = 12
+#: Largest fit condition ``kappa^2`` that ``recover_state`` admits.
+MAX_CONDITION = 1e10
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +104,14 @@ class RecoveredState:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Cosine-fit quality: RMS residual, fitted offset and visibility, and
-    whether the fringe was too flat to determine phase and magnitude split."""
+    """Cosine-fit quality: RMS residual, fitted offset and visibility, the
+    sweep's condition ``kappa^2``, and whether the fringe was too flat to
+    determine phase and magnitude split."""
 
     residual_rms: float
     offset: float
     visibility: float
+    condition: float
     ambiguous: bool
 
 
@@ -175,13 +174,15 @@ def run_interferometer(state: StateVector, cfg: InterferometerConfig,
 def recover_state(fr: FringeRecord) -> RecoveryResult:
     """Invert a fringe record into arm magnitudes and relative phase.
 
-    Fits both ports in one linear least-squares problem, with one step of
-    iterative refinement: rows ``[1, cos phi, sin phi]`` against ``I1`` and
-    ``[1, -cos phi, -sin phi]`` against ``I2``, for the coefficients ``C,
-    c1, c2``.  The fitted offset ``C`` and visibility ``V = 2 hypot(c1,
-    c2)`` determine the magnitudes through ``mag1^2 + mag2^2 = 2C`` and
-    ``2 mag1 mag2 = V``; the phase comes from the quadrature coefficients.
-    A fringe with ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
+    Fits ``[1, cos phi, sin phi]`` to ``I1`` and ``[1, -cos phi, -sin phi]`` to
+    ``I2`` by least squares in closed form, the offset column being orthogonal
+    to the others, plus one refinement step: ``C = sum(I1 + I2) / 2N``, ``w =
+    c1 - i c2 = (N conj(Z) - conj(S2) Z) / (low (2N - low))``, ``Z = sum exp(i
+    phi) (I1 - I2)``, ``S2 = sum exp(2i phi)``, ``low = N - |S2| = 2 sum
+    sin^2(phi - arg(S2) / 2)``.  Fewer than 3 distinct phases, or ``condition =
+    kappa^2 = (2N - low) / low`` past ``MAX_CONDITION``, raise ``FitError``.
+    ``mag1^2 + mag2^2 = 2C``, ``2 mag1 mag2 = V = 2|w|`` and the relative phase
+    is ``arg w``; ``V > 2C + UNPHYSICAL_TOL`` is rejected as unphysical.
     """
     phases = fr.phases
     # Three distinct values exist iff one lies strictly between the extremes.
@@ -190,42 +191,40 @@ def recover_state(fr: FringeRecord) -> RecoveryResult:
     r = np.round(wrap_phase(phases), PHASE_DECIMALS)
     if not np.any((r > r.min()) & (r < r.max())):
         raise FitError("need at least 3 distinct sweep phases (mod 2 pi)")
-    port1 = np.column_stack([np.ones(phases.size), np.cos(phases), np.sin(phases)])
-    design = np.concatenate([port1, port1 * [1.0, -1.0, -1.0]])
-    target = np.concatenate([fr.intensity_port1, fr.intensity_port2])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < 3:
-        raise FitError("degenerate phase design: sweep does not span a fringe")
-    # One step of iterative refinement on the same design: the magnitude
-    # split is sqrt(2C - V), so roundoff d in the fitted 2C - V costs about
-    # sqrt(d) / 2 in each magnitude.
-    coeffs = coeffs + np.linalg.lstsq(design, target - design @ coeffs, rcond=None)[0]
-    c0, c1, c2 = (float(c) for c in coeffs)
-    residual_rms = float(np.sqrt(np.mean((design @ coeffs - target) ** 2)))
-    visibility = 2.0 * float(np.hypot(c1, c2))
-    offset = c0
+    n, cos, sin = phases.size, np.cos(phases), np.sin(phases)
+    s2 = complex(cos @ cos - sin @ sin, 2.0 * (cos @ sin))
+    # A sum of squares: N^2 - |S2|^2 reads 0 on [0, 1e-11, 2e-11]. > 0 past the gate.
+    turned = np.sin(phases - cmath.phase(s2) / 2.0)
+    low = 2.0 * float(turned @ turned)
+    condition = (2.0 * n - low) / low
+    if not condition <= MAX_CONDITION:
+        raise FitError(f"near-duplicate sweep phases: fit condition kappa^2 = "
+                       f"{condition:.3g} exceeds MAX_CONDITION = {MAX_CONDITION:g}")
+    # The second pass refines: roundoff d in 2C - V costs sqrt(d) / 2 per magnitude.
+    i1, i2 = fr.intensity_port1, fr.intensity_port2
+    offset, w, r1, r2 = 0.0, 0j, i1, i2
+    for _ in range(2):
+        diff = r1 - r2
+        z = complex(cos @ diff, sin @ diff)
+        offset += float(np.sum(r1 + r2)) / (2.0 * n)
+        w += (n * z.conjugate() - s2.conjugate() * z) / (low * (2.0 * n - low))
+        fringe = w.real * cos - w.imag * sin
+        r1, r2 = i1 - (offset + fringe), i2 - (offset - fringe)
+    visibility = 2.0 * abs(w)
     if offset <= 0.0:
         raise FitError("fitted offset is nonpositive; fringe is unphysical")
     if visibility > 2.0 * offset + UNPHYSICAL_TOL:
-        raise FitError(
-            f"fitted visibility {visibility:.3g} exceeds the unitarity "
-            f"bound 2C = {2.0 * offset:.3g}"
-        )
+        raise FitError(f"fitted visibility {visibility:.3g} exceeds the unitarity "
+                       f"bound 2C = {2.0 * offset:.3g}")
     ambiguous = visibility < AMBIGUOUS_VISIBILITY
     u = float(np.sqrt(2.0 * offset + visibility))
-    w = float(np.sqrt(max(2.0 * offset - visibility, 0.0)))
-    mag1 = (u + w) / 2.0
-    mag2 = (u - w) / 2.0
-    relative_phase = 0.0 if ambiguous else wrap_phase(float(np.arctan2(-c2, c1)))
+    v = float(np.sqrt(max(2.0 * offset - visibility, 0.0)))
+    phase = 0.0 if ambiguous else wrap_phase(cmath.phase(w))
+    residual_rms = float(np.sqrt((r1 @ r1 + r2 @ r2) / (2.0 * n)))
     return RecoveryResult(
-        state=RecoveredState(mag1=mag1, mag2=mag2, relative_phase=relative_phase),
-        diagnostics=FitDiagnostics(
-            residual_rms=residual_rms,
-            offset=offset,
-            visibility=visibility,
-            ambiguous=ambiguous,
-        ),
-    )
+        RecoveredState(mag1=(u + v) / 2.0, mag2=(u - v) / 2.0, relative_phase=phase),
+        FitDiagnostics(residual_rms=residual_rms, offset=offset, visibility=visibility,
+                       condition=condition, ambiguous=ambiguous))
 
 
 def holographic_report(state: StateVector, cfg: InterferometerConfig,

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigenschaft.errors import DomainError, FitError, ShapeError
 from eigenschaft.interferometer import (
+    MAX_CONDITION,
     FringeRecord,
     InterferometerConfig,
     holographic_report,
@@ -37,6 +39,29 @@ def config(n=16, sigma=0.0, splitter=None):
 
 def two_arm_state(mag1, mag2, phase):
     return StateVector(np.array([mag1, mag2 * np.exp(1j * phase)]))
+
+
+CONDITION_REFUSAL = (r"^near-duplicate sweep phases: fit condition kappa\^2 = \S+ "
+                     r"exceeds MAX_CONDITION = " + re.escape(f"{MAX_CONDITION:g}") + "$")
+
+
+def check_near_duplicate_sweep(phases, power, phase):
+    """A noiseless fit over ``phases`` of arms with powers ``power`` and ``1 -
+    power`` either meets 1e-8 on both magnitudes and the phase, or is
+    refused by the three-phase gate or by the condition gate."""
+    cfg = InterferometerConfig(splitter=hadamard(), sweep_phases=phases)
+    state = two_arm_state(np.sqrt(power), np.sqrt(1.0 - power), phase)
+    try:
+        report = holographic_report(state, cfg)
+    except FitError as exc:
+        if np.unique(np.round(wrap_phase(phases), 12)).size < 3:
+            assert str(exc) == "need at least 3 distinct sweep phases (mod 2 pi)"
+        else:
+            assert re.match(CONDITION_REFUSAL, str(exc)), str(exc)
+        return
+    assert report.diagnostics.condition <= MAX_CONDITION
+    err = report.truth_error
+    assert max(err.mag1, err.mag2, err.phase) <= 1e-8, (phases, report)
 
 
 class TestRunInterferometer:
@@ -239,18 +264,59 @@ class TestRecoverState:
         np.array([0.3, 0.3 + 1e-5, 0.3 + 2e-5, 0.3 + 3e-5]),
     ])
     def test_rank_gate_matches_matrix_rank(self, phases):
-        """The fit's rank gate counts singular values of its design, both
-        ports stacked, as ``np.linalg.matrix_rank`` does, near-duplicate
-        phases included."""
-        port1 = np.column_stack([np.ones(phases.size), np.cos(phases), np.sin(phases)])
-        design = np.concatenate([port1, port1 * [1.0, -1.0, -1.0]])
+        """The fit's condition gate is a rank test: it refuses a sweep
+        exactly when ``np.linalg.matrix_rank`` finds the quadrature columns,
+        both ports stacked, of rank below 2 at the tolerance ``sigma_max /
+        sqrt(MAX_CONDITION)``, and ``condition`` is their ``kappa^2``.  That
+        is about 1.5e22 and 1.5e18 for the first two near-duplicate sweeps,
+        which are refused, 8.0e9 for the third and 1 for the uniform sweeps,
+        which are admitted."""
+        port1 = np.column_stack([np.cos(phases), np.sin(phases)])
+        block = np.concatenate([port1, -port1])
+        sigma = np.linalg.svd(block, compute_uv=False)
         cfg = InterferometerConfig(splitter=hadamard(), sweep_phases=phases)
         fr = run_interferometer(two_arm_state(0.6, 0.8, 0.3), cfg)
-        if np.linalg.matrix_rank(design) < 3:
-            with pytest.raises(FitError, match="degenerate phase design"):
+        if np.linalg.matrix_rank(block, tol=sigma[0] / np.sqrt(MAX_CONDITION)) < 2:
+            with pytest.raises(FitError, match=CONDITION_REFUSAL):
                 recover_state(fr)
         else:
-            recover_state(fr)
+            condition = recover_state(fr).diagnostics.condition
+            assert condition == pytest.approx((sigma[0] / sigma[1]) ** 2, rel=1e-6)
+
+    @settings(deadline=None)
+    @given(n=st.sampled_from([3, 4, 8, 16]), data=st.data(),
+           phi0=st.floats(-np.pi, np.pi), spread_exp=st.floats(-12.0, 0.0),
+           power=st.floats(0.05, 0.45), swap=st.booleans(),
+           phase=st.floats(-np.pi, np.pi))
+    def test_near_duplicate_sweep_is_exact_or_refused(self, n, data, phi0, spread_exp,
+                                                      power, swap, phase):
+        """Sweeps ``phi0 + s * sort(U(0, 1)^N)``, spreads s from 1e-12 to 1:
+        each noiseless fit the gate admits meets 1e-8 on both magnitudes
+        and the phase, and a refusal names ``kappa^2`` and the bound.  The
+        arms differ in power by at least 0.1: at equal arms the split is a
+        square root and misses 1e-8 at any ``kappa^2`` well above 1.  Here
+        the worst error grows as ``kappa^2`` past 1e10, and reaches 1e-8 near
+        ``kappa^2 = 3e11``; ``MAX_CONDITION = 1e10`` leaves a factor of 100."""
+        unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        phases = phi0 + 10.0 ** spread_exp * np.sort(unit)
+        check_near_duplicate_sweep(phases, 1.0 - power if swap else power, phase)
+
+    def test_near_duplicate_scan(self):
+        """The same property over 2000 seeded draws: enough of them land near
+        the bound, which the example budget of 30 rarely reaches."""
+        rng = np.random.default_rng(66)
+        for _ in range(2000):
+            n = int(rng.choice([3, 4, 8, 16]))
+            phases = (rng.uniform(-np.pi, np.pi)
+                      + 10.0 ** rng.uniform(-12, 0) * np.sort(rng.uniform(0, 1, n)))
+            power = rng.uniform(0.05, 0.45)
+            check_near_duplicate_sweep(phases, power if rng.uniform() < 0.5 else 1 - power,
+                                       rng.uniform(-np.pi, np.pi))
+
+    @pytest.mark.parametrize("n", [*range(3, 65), 65536])
+    def test_uniform_sweep_is_perfectly_conditioned(self, n):
+        fr = run_interferometer(two_arm_state(0.6, 0.8, 0.3), config(n))
+        assert abs(recover_state(fr).diagnostics.condition - 1.0) <= 1e-12
 
     def test_unphysical_fringe_rejected(self):
         # A single spike in port 1 over a dark port 2 fits to V = 0.5 with
