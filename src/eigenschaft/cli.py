@@ -206,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser for every subcommand, built on the first call.
 
     The returned parser is shared by every later call in the process, so
-    callers must not mutate it.
+    callers must not mutate it.  Its ``leaves`` map each command path,
+    ``("simulate",)`` or ``("construct", "flip")``, to the parser
+    ``add_parser`` returned for it.
     """
     parser = argparse.ArgumentParser(
         prog="eigenschaft",
@@ -307,7 +309,30 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the fringe CSV instead of the recovery report")
     sim.set_defaults(handler=_cmd_simulate)
 
+    parser.leaves = {
+        **{(name,): leaf for name, leaf in sub.choices.items() if leaf is not construct},
+        **{("construct", name): leaf for name, leaf in csub.choices.items()},
+    }
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` once, with the parser of the command its first words name.
+
+    The top-level parser is reached only when no command owns ``argv``:
+    an empty argv, a flag or an unknown name first, ``construct`` alone,
+    or arguments the command leaves over.  It parses all of ``argv`` as
+    before, so help, usage lines, messages and exit codes are its own.
+    """
+    parser = build_parser()
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = parser.leaves.get(path)
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(argv[len(path):])
+            if not rest:
+                return args
+            break
+    return parser.parse_args(argv)
 
 
 def _say(line: str) -> None:
@@ -319,8 +344,7 @@ def _say(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         payload, refusal = args.handler(args)
         # A final newline of its own: unbuffered, a write cut short is silent,

@@ -24,6 +24,7 @@ of the independent ones (not merely differences modulo pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,7 +74,16 @@ def wrap_phase(x):
     ``phase must be numeric`` for non-numbers and unevenly nested
     sequences, ``phase must be real`` for complex input and ``phase must
     be finite`` for NaN and infinities.
+
+    A Python ``float`` is wrapped in float arithmetic, with no array:
+    float ``%`` and ``np.mod`` are both ``fmod`` with the same sign fix, so
+    its bits equal the array path's.  Every other input, numpy scalars
+    included, takes the array path.
     """
+    if type(x) is float:
+        if not math.isfinite(x):
+            raise DomainError("phase must be finite")
+        return math.pi - (math.pi - x) % (2.0 * math.pi)
     a = numeric_array(x, "phase")
     if a.dtype.kind == "c":
         raise DomainError("phase must be real")

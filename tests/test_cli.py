@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -1005,6 +1006,125 @@ class TestParserReuse:
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0]
         assert all(err == "" for _, _, err in (shared[0], shared[2], shared[4]))
+
+
+#: One admitted argv tail per command path; the parse opens no file.
+LEAF_ARGVS = {
+    ("construct", "h2"): ["--gamma", "45", "--dphi", "0"],
+    ("construct", "diag"): ["--dim", "3", "--alphas", "1,0.5,-0.5", "--sign", "+1",
+                            "--phases", "10,-20"],
+    ("construct", "kron"): ["--a", "a.json", "--b", "b.json", "--member", "ab"],
+    ("construct", "flip"): ["--projectors", "p.json", "--signs=-1,1,1"],
+    ("validate",): ["m.json", "--strict"],
+    ("convert",): ["--projectors", "p.json", "--family", "traceless"],
+    ("decompose",): ["--op", "h.json", "--state", "s.json"],
+    ("classify",): ["--rho", "r.json"],
+    ("evolve",): ["--op", "h.json", "--omega1", "2", "--omega2", "0.5", "--times", "0,0.5"],
+    ("simulate",): ["--state", "s.json", "--phases", "16", "--noise", "0.1",
+                    "--seed", "3", "--fringes"],
+}
+
+EVOLVE = ["evolve", "--op", "h.json", "--omega1", "2", "--omega2", "0.5"]
+
+ROUTING_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["--bogus", "simulate"], ["-h", "simulate"],
+    ["frobnicate"], ["simulat"], ["construct"], ["construct", "-h"],
+    ["construct", "--help"], ["construct", "frob"], ["construct", "--bogus", "h2"],
+    *([*path, *tail] for path, tail in LEAF_ARGVS.items()),
+    *([*path, "-h"] for path in LEAF_ARGVS),
+    *([*path, "--help"] for path in LEAF_ARGVS),
+    *([*path, *tail, "--bogus"] for path, tail in LEAF_ARGVS.items()),
+    *([*path, *tail, "--", "extra"] for path, tail in LEAF_ARGVS.items()),
+    ["simulate", "--he"],
+    ["simulate", "--state", "s.json", "--pha", "16"],
+    ["simulate", "--state", "s.json", "--phases", "16", "--seed", "-1"],
+    ["simulate", "--state", "s.json", "--phases", "16", "--", "--bogus"],
+    ["simulate"],
+    ["construct", "h2", "--gamma", "45"],
+    ["construct", "h2", "h2", "--gamma", "45", "--dphi", "0"],
+    ["construct", "h2", "--gamma", "45", "--dphi", "0", "h2"],
+    ["construct", "diag", "--dim", "5", "--alphas", "1,0,0", "--sign", "1",
+     "--phases", "0,0"],
+    ["construct", "flip", "--projectors", "p.json", "--signs", "-1,1,1"],
+    ["convert"],
+    ["convert", "--op", "h.json", "--projectors", "p.json"],
+    ["convert", "--op", "h.json", "--family", "flip"],
+    ["convert", "--projectors", "p.json", "--family", "bogus"],
+    EVOLVE,
+    [*EVOLVE, "--time", "1", "--times", "0,1"],
+    ["validate", "--", "m.json"],
+    ["validate", "--", "-"],
+    ["validate", "m.json", "n.json"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """Exit code (0 for a namespace), stdout, stderr, and the namespace
+    without the subparsers' own ``command`` and ``builder``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, names = 0, vars(parse(list(argv)))
+        except SystemExit as exc:
+            code, names = exc.code, None
+    if names is not None:
+        names = {k: v for k, v in names.items() if k not in ("command", "builder")}
+    return code, out.getvalue(), err.getvalue(), names
+
+
+class TestRouting:
+    """Each argv is parsed by the parser of the command it names, with the
+    outcome of the full parser's ``parse_args``."""
+
+    def test_every_command_path_is_routed(self):
+        assert set(cli.build_parser().leaves) == set(LEAF_ARGVS)
+
+    @pytest.mark.parametrize("argv", ROUTING_CORPUS,
+                             ids=lambda argv: "_".join(argv) or "empty")
+    def test_same_outcome_as_the_full_parser(self, argv):
+        routed = _parse_outcome(cli._parse, argv)
+        assert routed == _parse_outcome(cli.build_parser().parse_args, argv)
+        assert routed[0] in (0, 2)
+
+
+class TestOneParse:
+    """A request a command owns is parsed once, by that command's parser;
+    through the top-level parser, ``simulate`` took 2 ``parse_known_args``
+    calls and ``construct flip`` 3."""
+
+    REQUESTS = [
+        pytest.param(["simulate", "--state", EQUAL_STATE, "--phases", "16"],
+                     "eigenschaft simulate", id="simulate"),
+        pytest.param(["construct", "flip", "--projectors", STD3_PROJECTORS,
+                      "--signs=-1,1,1"], "eigenschaft construct flip", id="construct_flip"),
+    ]
+
+    @pytest.fixture
+    def progs(self, monkeypatch):
+        """The ``prog`` of each parser ``parse_known_args`` is called on."""
+        progs = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            progs.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        return progs
+
+    @pytest.mark.parametrize("argv, prog", REQUESTS)
+    def test_one_call_on_the_commands_parser(self, capsys, progs, argv, prog):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err, progs) == (0, "", [prog])
+
+    @pytest.mark.parametrize("argv, prog", REQUESTS)
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, progs, argv, prog):
+        expected = run_cli(capsys, *argv)
+        progs.clear()
+        monkeypatch.setattr(sys, "argv", ["eigenschaft", *argv])
+        code = main()
+        assert (code, *capsys.readouterr()) == expected
+        assert progs == [prog]
 
 
 class TestUsageErrors:

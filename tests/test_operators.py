@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eigenschaft import linalg, operators, serialize
 from eigenschaft.dynamics import TwoLevelSystem, beat_trace
@@ -1210,6 +1213,13 @@ class TestValidate:
         assert report.relation_residuals == {}
 
 
+def _ulps_from(x: float, steps: int) -> float:
+    """``x`` moved by ``steps`` units in the last place."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
 class TestWrapPhase:
     def test_half_open_interval(self):
         assert wrap_phase(np.pi) == pytest.approx(np.pi)
@@ -1242,3 +1252,20 @@ class TestWrapPhase:
         assert (wrap_phase(True), wrap_phase(np.float32(0.5))) == (1.0, 0.5)
         (sample,) = beat_trace(TwoLevelSystem(1e100, -1e100, hadamard()), [1e100])
         assert sample.delta_phi == wrap_phase(2e200)
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+           | st.builds(_ulps_from, st.integers(-50, 50).map(lambda k: k * math.pi),
+                       st.integers(-4, 4)))
+    def test_float_bits_equal_the_array_path(self, x):
+        """A Python float is wrapped without an array, to the same bits;
+        the example budget is the profile's."""
+        wrapped = wrap_phase(x)
+        assert type(wrapped) is float
+        expected = float(wrap_phase(np.array([x]))[0])
+        assert wrapped.hex() == expected.hex()
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_float_that_is_not_finite_is_refused(self, x):
+        with pytest.raises(DomainError, match="^phase must be finite$"):
+            wrap_phase(x)
