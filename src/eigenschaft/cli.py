@@ -11,6 +11,8 @@ text, with ``None`` or the stderr line of a refusal that keeps its payload
 pieces of :func:`serialize.chunked_dumps` and writes stdout once, after
 every piece is built, so a command that fails leaves stdout empty.  A
 stderr line that cannot be written is dropped; the exit code stands.
+:func:`main` returns the exit code and touches no file descriptor;
+:func:`entry_point`, the console script, alone retires descriptors 1 and 2.
 
 Angles on the command line are degrees; the library works in radians.
 """
@@ -90,10 +92,10 @@ def _load_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: a closed file object
+        raise UsageError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
@@ -133,8 +135,7 @@ def _cmd_construct_kron(args) -> tuple[dict | str, str | None]:
 
 def _cmd_construct_flip(args) -> tuple[dict | str, str | None]:
     ps = serialize.projector_set_from_dict(_load_json(args.projectors))
-    op = from_projector_flip(ps, args.signs)
-    return serialize.op_to_dict(op), None
+    return serialize.op_to_dict(from_projector_flip(ps, args.signs)), None
 
 
 def _cmd_validate(args) -> tuple[dict | str, str | None]:
@@ -339,7 +340,7 @@ def _say(line: str) -> None:
     """Write ``line`` to stderr; like argparse, drop it if stderr is None or fails."""
     try:
         sys.stderr.write(line + "\n")
-    except (AttributeError, OSError):
+    except (AttributeError, OSError, ValueError):
         pass
 
 
@@ -360,12 +361,7 @@ def main(argv=None) -> int:
             raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
-    except OSError as exc:  # closed, a closed pipe, a full device, ...
-        if sys.stdout is not None:
-            # Point the descriptor at devnull, so the flush at exit cannot raise.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+    except (OSError, ValueError) as exc:  # closed, a closed pipe, a full device, ...
         _say(f"error: cannot write stdout: {exc}")
         return 1
     if refusal is not None:
@@ -375,4 +371,8 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    code = main()
+    # main wrote or dropped every line; keep the flush at exit from failing again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.dup2(1, 2)
+    raise SystemExit(code)

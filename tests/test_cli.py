@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -791,6 +792,24 @@ class TestUnreadableInput:
         assert run_cli(capsys, "validate", "-") == (
             2, "", "error: cannot read -: stdin is closed\n")
 
+    def test_closed_stdin_object_is_a_usage_error(self, capsys, monkeypatch):
+        """In-process, a closed file object raises ``ValueError``, not ``OSError``."""
+        monkeypatch.setattr(sys, "stdin", _closed_stream())
+        assert run_cli(capsys, "validate", "-") == (
+            2, "", "error: cannot read -: I/O operation on closed file.\n")
+
+
+def _closed_stream():
+    """A file object that is closed, as a caller's stream may be in-process."""
+    stream = open(os.devnull, "w")
+    stream.close()
+    return stream
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
 
 class TestWritingStdout:
     """``cli.main`` lays out the whole payload before it writes stdout."""
@@ -818,6 +837,40 @@ class TestWritingStdout:
         code = main(["construct", "h2", "--gamma", "45", "--dphi", "0"])
         assert (code, capsys.readouterr().err) == (
             1, "error: cannot write stdout: stdout is closed\n")
+
+    @pytest.mark.parametrize("stdout, message", [
+        (_closed_stream(), "I/O operation on closed file."),
+        (_FullStream(), f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+    ], ids=["closed-object", "full-object"])
+    def test_stream_fault_is_one_error_line(self, capsys, monkeypatch, stdout,
+                                            message):
+        """A stream object that fails, with no descriptor behind it."""
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["construct", "h2", "--gamma", "45", "--dphi", "0"])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: cannot write stdout: {message}\n")
+
+    def test_in_process_main_leaves_descriptors_alone(self, capsys, monkeypatch):
+        """A stdout on a pipe whose reader is gone fails with a real
+        descriptor behind it; ``main`` reports it and rewires nothing.  Only
+        ``cli``'s ``os`` is replaced: pytest's own capture calls ``dup2``."""
+        def dup2(*args):
+            pytest.fail(f"main called os.dup2{args}")
+
+        monkeypatch.setattr(cli, "os",
+                            types.SimpleNamespace(**{**vars(os), "dup2": dup2}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w")
+        try:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["construct", "h2", "--gamma", "45", "--dphi", "0"])
+        finally:
+            with contextlib.suppress(OSError):  # the payload is still buffered
+                stdout.close()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: [Errno {errno.EPIPE}] Broken pipe\n")
 
     @pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
     def env(self, request):
@@ -866,13 +919,21 @@ class TestWritingStdout:
             f"error: cannot write stdout: [Errno {errno.ENOSPC}] ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stderr_keeps_exit_2_in_a_process(self, env):
+        """The usage line that stderr could not take stays in its buffer, and
+        the interpreter's flush at exit would fail on it again (exit 120,
+        buffered) but for the descriptors ``entry_point`` retires."""
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "eigenschaft", "validate", "missing.json"],
+                stdout=subprocess.PIPE, stderr=full, env=env,
+            )
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
-class _FullStream(io.StringIO):
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-
-@pytest.mark.parametrize("stderr", [None, _FullStream()], ids=["closed", "full"])
+@pytest.mark.parametrize("stderr", [None, _FullStream(), _closed_stream()],
+                         ids=["closed", "full", "closed-object"])
 class TestWritingStderr:
     """A stderr line that cannot be written is dropped: the exit code and
     stdout are what they would be with the line written."""
