@@ -12,7 +12,9 @@ pieces of :func:`serialize.chunked_dumps` and writes stdout once, after
 every piece is built, so a command that fails leaves stdout empty.  A
 stderr line that cannot be written is dropped; the exit code stands.
 :func:`main` returns the exit code and touches no file descriptor;
-:func:`entry_point`, the console script, alone retires descriptors 1 and 2.
+:func:`entry_point`, the console script, alone retires descriptors 1 and 2,
+after help and argparse's usage lines too: a line it cannot write is
+dropped, and the exit code is argparse's.
 
 Angles on the command line are degrees; the library works in radians.
 """
@@ -371,7 +373,14 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
+    try:  # help may still sit in stdout's buffer; a failure is dropped, as argparse's
+        sys.stdout.flush()
+    except (AttributeError, OSError, ValueError):
+        pass
     # main wrote or dropped every line; keep the flush at exit from failing again.
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     os.dup2(1, 2)

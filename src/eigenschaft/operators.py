@@ -58,11 +58,8 @@ EXPRESSIBLE_TOL = 1e-9
 #: involution's trace class, a projector's unit trace.
 TOL_SPECTRUM = 1e-8
 #: ``DiagSpec`` admits alphas whose sum lies this close to the trace,
-#: ``trace_sign`` times 1 (dimension 3) or 2 (dimension 4).
+#: ``trace_sign * (dim - 2)``.
 DIAG_SUM_TOL = 1e-12
-#: ``validate`` marks the trace class suspect when the trace lies farther
-#: than this from it.
-TRACE_CLASS_SUSPECT = 1e-6
 
 
 def wrap_phase(x):
@@ -380,35 +377,33 @@ class DiagSpec:
     phases: tuple[float, ...]
 
     def __post_init__(self):
-        if as_int(self.dim, "dim", ConstructionError) not in (3, 4):
+        dim = as_int(self.dim, "dim", ConstructionError)
+        if dim not in (3, 4):
             raise ConstructionError(
-                f"closed-form diagonal construction covers dims 3 and 4, "
-                f"got {self.dim}"
-            )
-        if as_int(self.trace_sign, "trace_sign", ConstructionError) not in (1, -1):
+                f"closed-form diagonal construction covers dims 3 and 4, got {dim}")
+        trace_sign = as_int(self.trace_sign, "trace_sign", ConstructionError)
+        if trace_sign not in (1, -1):
             raise ConstructionError("trace_sign must be +1 or -1")
         alphas = as_real(self.alphas, "alphas", ConstructionError)
-        if alphas.shape != (self.dim,):
-            raise ConstructionError(f"need {self.dim} diagonal entries, "
+        if alphas.shape != (dim,):
+            raise ConstructionError(f"need {dim} diagonal entries, "
                                     f"got {len(np.atleast_1d(alphas))}")
         alphas = tuple(alphas.tolist())
         for i, a in enumerate(alphas):
             if not abs(a) <= 1.0:
                 raise ConstructionError(f"|alpha_{i + 1}| <= 1 violated (got {a!r})")
-        target = float(self.trace_sign) * (1.0 if self.dim == 3 else 2.0)
+        target = float(trace_sign * (dim - 2))
         total = sum(alphas)
         if abs(total - target) > DIAG_SUM_TOL:
             raise ConstructionError(
-                f"sum(alphas) must equal trace_sign * "
-                f"{1 if self.dim == 3 else 2} = {target:g} (got {total!r})"
-            )
-        n_free = 2 if self.dim == 3 else 3
+                f"sum(alphas) must equal trace_sign * {dim - 2} = {target:g} "
+                f"(got {total!r})")
         phases = as_real(self.phases, "phases", ConstructionError)
-        if phases.shape != (n_free,):
-            raise ConstructionError(f"dimension {self.dim} takes {n_free} free "
+        if phases.shape != (dim - 1,):
+            raise ConstructionError(f"dimension {dim} takes {dim - 1} free "
                                     f"phases, got {len(np.atleast_1d(phases))}")
         freeze_fields(self, alphas=alphas, phases=tuple(phases.tolist()),
-                      trace_sign=int(self.trace_sign), dim=int(self.dim))
+                      trace_sign=trace_sign, dim=dim)
 
 
 def build_from_diag(spec: DiagSpec) -> EigenschaftOp:
@@ -590,7 +585,9 @@ class ValidationReport:
     (off-diagonal magnitudes determined by the diagonal, and phase
     closures) for dimension 2 always and for dimensions 3/4 when the
     nearest trace class selects a rank-one-deficiency branch; it is empty
-    otherwise.  All reporting, no gating: inspect the numbers and decide.
+    otherwise.  ``trace_class_suspect`` is the operator gate's trace
+    verdict, ``trace_class_distance > TOL_SPECTRUM``.  All reporting, no
+    gating: inspect the numbers and decide.
     """
 
     dim: int
@@ -604,11 +601,11 @@ class ValidationReport:
     relation_residuals: dict[str, float]
 
 
-def _closure_residual(m: np.ndarray, s: float, dep: tuple[int, int],
-                      plus: tuple[int, int], minus: tuple[int, int]) -> float | None:
-    """|wrap(phi_dep - (phi_plus - phi_minus))| with signed-amplitude phases
-    ``phi_ij = arg(-s * m_ij)``; None when any amplitude is too small."""
-    entries = [m[dep], m[plus], m[minus]]
+def _closure_residual(m: np.ndarray, s: float, i: int, j: int) -> float | None:
+    """|wrap(phi_ij - (phi_0j - phi_0i))|, the pair ``(i, j)`` off row 0
+    closing through row 0, with signed-amplitude phases
+    ``phi_kl = arg(-s * m_kl)``; None when any amplitude is too small."""
+    entries = [m[i, j], m[0, j], m[0, i]]
     if any(abs(e) <= PHASE_EPS for e in entries):
         return None
     phi = [float(np.angle(-s * e)) for e in entries]
@@ -641,14 +638,10 @@ def validate(matrix) -> ValidationReport:
             relations[f"mag_{i + 1}{j + 1}"] = float(
                 abs(abs(m[i, j]) ** 2 - predicted)
             )
-        closures = [((1, 2), (0, 2), (0, 1))]
-        if n == 4:
-            closures += [((1, 3), (0, 3), (0, 1)), ((2, 3), (0, 3), (0, 2))]
-        for dep, plus, minus in closures:
-            res = _closure_residual(m, s, dep, plus, minus)
+        for i, j in pairs[n - 1:]:  # the pairs off row 0
+            res = _closure_residual(m, s, i, j)
             if res is not None:
-                key = f"closure_{dep[0] + 1}{dep[1] + 1}"
-                relations[key] = float(res)
+                relations[f"closure_{i + 1}{j + 1}"] = float(res)
 
     return ValidationReport(
         dim=n,
@@ -658,6 +651,6 @@ def validate(matrix) -> ValidationReport:
         trace=trace,
         trace_class=tc,
         trace_class_distance=float(dist),
-        trace_class_suspect=bool(dist > TRACE_CLASS_SUSPECT),
+        trace_class_suspect=bool(dist > TOL_SPECTRUM),
         relation_residuals=relations,
     )

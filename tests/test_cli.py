@@ -300,6 +300,17 @@ class TestValidate:
         assert (code, out) == (1, report)
         assert err.startswith(f"strict gate failed: {message}")
 
+    def test_strict_witness_is_reported_suspect(self, capsys, tmp_path):
+        """The n = 64 witness the trace gate alone refuses is flagged in the
+        report that --strict prints before its refusal."""
+        path = tmp_path / "m.json"
+        path.write_text(dumps(matrix_to_dict(
+            sylvester_hadamard(64) / 8.0 + 3.92e-10 * np.eye(64))))
+        code, out, err = run_cli(capsys, "validate", str(path), "--strict")
+        assert code == 1
+        assert json.loads(out)["trace_class_suspect"] is True
+        assert err.startswith("strict gate failed: trace")
+
     def test_env_tolerance_does_not_loosen_projector_gate(self, capsys, tmp_path,
                                                            monkeypatch):
         # EIGENSCHAFT_TOL is not read: the operator, whose eigenvalues sit
@@ -930,6 +941,43 @@ class TestWritingStdout:
                 stdout=subprocess.PIPE, stderr=full, env=env,
             )
         assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+class TestArgparseThroughEntryPoint:
+    """Help and the usage errors argparse answers itself leave through
+    ``entry_point`` too, in the default buffered mode: a line that cannot
+    be written is dropped, the exit code is argparse's, and help on a
+    working stream is flushed before the descriptors are retired."""
+
+    @pytest.fixture
+    def env(self):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["COLUMNS"] = "80"
+        return env
+
+    def _run(self, env, *argv, **streams):
+        return subprocess.run([sys.executable, "-m", "eigenschaft", *argv],
+                              env=env, **streams)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_a_full_stdout_exits_0(self, env):
+        with open("/dev/full", "w") as full:
+            proc = self._run(env, "--help", stdout=full, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--bogus"], ["construct"]],
+                             ids=["unknown-flag", "missing-builder"])
+    def test_usage_error_to_a_full_stderr_exits_2(self, env, argv):
+        with open("/dev/full", "w") as full:
+            proc = self._run(env, *argv, stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_piped_help_is_the_parsers_help(self, env, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = self._run(env, "--help", capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == cli.build_parser().format_help()
 
 
 @pytest.mark.parametrize("stderr", [None, _FullStream(), _closed_stream()],

@@ -1191,6 +1191,26 @@ class TestValidate:
         assert report.trace_class == 3
         assert report.trace_class_suspect
 
+    @pytest.mark.parametrize("delta", [1e-12, 1e-11, 1e-10, 1.5e-10, 1.5625e-10,
+                                       1.6e-10, 2e-10, 3e-10, 3.92e-10])
+    def test_suspect_is_the_trace_gate(self, delta):
+        """At n = 64, ``S/8 + delta I`` has involution residual ``delta/4``,
+        at most ``TOL_INV``, and its trace lies ``64 delta`` from class 0, so
+        only the trace gate can refuse it; the flag is that gate's verdict."""
+        m = sylvester_hadamard(MAX_DIM) / 8.0 + delta * np.eye(MAX_DIM)
+        report = validate(m)
+        assert report.involution_residual <= TOL_INV
+        assert report.trace_class_suspect == (
+            report.trace_class_distance > TOL_SPECTRUM)
+        try:
+            EigenschaftOp(m)
+        except DomainError as exc:
+            assert str(exc).startswith("trace ")
+            refused = True
+        else:
+            refused = False
+        assert refused == report.trace_class_suspect
+
     @pytest.mark.parametrize("alphas, phases, keys", [
         ((1.0, 0.0, 0.0), (0.0, 0.0), ["mag_12", "mag_13", "mag_23"]),
         ((1.0, 1 / 3, 1 / 3, 1 / 3), (0.3, -0.5, 1.0),
