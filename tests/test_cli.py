@@ -550,6 +550,18 @@ class TestSimulate:
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[1] == pytest.approx(1.0, abs=1e-9)  # constructive at phi=0
 
+    @pytest.mark.parametrize("phases", ["3", "65536"])
+    def test_uniform_sweep_fits_with_condition_1(self, capsys, phases):
+        """The smallest uniform sweep the fit admits and the largest the
+        benchmark serves: the two-port design is perfectly conditioned and
+        the truth is met."""
+        code, out, err = run_cli(capsys, "simulate", "--state", EQUAL_STATE,
+                                 "--phases", phases)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert abs(report["diagnostics"]["condition"] - 1.0) <= 1e-12
+        assert max(report["truth_error"].values()) <= 1e-8
+
     def test_noisy_run_reproducible(self, capsys):
         args = (
             "simulate", "--state", EQUAL_STATE,
@@ -628,18 +640,24 @@ class TestSimulate:
         state = state_from_dict(json.loads(Path(EQUAL_STATE).read_text()))
         assert out == fringe_csv(run_interferometer(state, cfg))
 
-    @pytest.mark.parametrize("arms", ["equal", "near", "random"])
+    @pytest.mark.parametrize("arms", ["equal", "near", "random", "equal-file"])
     def test_largest_sweep_matches_the_per_row_reference(self, capsys, tmp_path,
                                                           arms):
         """A 65 536-phase fringe, the largest the benchmark serves, is the
-        per-row CSV text of the library's fringe, byte for byte."""
-        rng = np.random.default_rng(65536)
-        p = {"equal": 0.5, "near": (1.0 + 1e-6) / 2.0, "random": 0.3}[arms]
-        phases = [0.0, 0.0] if arms == "equal" else rng.uniform(-np.pi, np.pi, 2)
-        state = StateVector(np.array([math.sqrt(p), math.sqrt(1.0 - p)])
-                            * np.exp(1j * np.asarray(phases)))
-        path = tmp_path / "state.json"
-        path.write_text(dumps(state_to_dict(state)))
+        per-row CSV text of the library's fringe, byte for byte.  The file
+        case is ``equal_state.json``, whose amplitudes 0.7071067811865475
+        are one ulp below ``sqrt(0.5)``."""
+        if arms == "equal-file":
+            path = Path(EQUAL_STATE)
+            state = state_from_dict(json.loads(path.read_text()))
+        else:
+            rng = np.random.default_rng(65536)
+            p = {"equal": 0.5, "near": (1.0 + 1e-6) / 2.0, "random": 0.3}[arms]
+            phases = [0.0, 0.0] if arms == "equal" else rng.uniform(-np.pi, np.pi, 2)
+            state = StateVector(np.array([math.sqrt(p), math.sqrt(1.0 - p)])
+                                * np.exp(1j * np.asarray(phases)))
+            path = tmp_path / "state.json"
+            path.write_text(dumps(state_to_dict(state)))
         code, out, err = run_cli(capsys, "simulate", "--state", str(path),
                                  "--phases", "65536", "--fringes")
         assert (code, err) == (0, "")
@@ -822,6 +840,15 @@ class _FullStream(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+@pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
+def env(request):
+    """The environment of a child whose stdout is buffered, or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if request.param:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestWritingStdout:
     """``cli.main`` lays out the whole payload before it writes stdout."""
 
@@ -847,6 +874,17 @@ class TestWritingStdout:
         monkeypatch.setattr(sys, "stdout", None)
         code = main(["construct", "h2", "--gamma", "45", "--dphi", "0"])
         assert (code, capsys.readouterr().err) == (
+            1, "error: cannot write stdout: stdout is closed\n")
+
+    def test_closed_descriptor_1_is_one_error_line_in_a_process(self, env):
+        """A child started with descriptor 1 closed, as ``>&-`` starts it."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenschaft", "construct", "h2",
+             "--gamma", "45", "--dphi", "0"],
+            stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (
             1, "error: cannot write stdout: stdout is closed\n")
 
     @pytest.mark.parametrize("stdout, message", [
@@ -882,14 +920,6 @@ class TestWritingStdout:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: cannot write stdout: [Errno {errno.EPIPE}] Broken pipe\n")
-
-    @pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
-    def env(self, request):
-        """The environment of a child whose stdout is buffered, or not."""
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if request.param:
-            env["PYTHONUNBUFFERED"] = "1"
-        return env
 
     @pytest.mark.parametrize("payload", ["convert-op", "fringes"])
     def test_closed_pipe_is_one_error_line(self, tmp_path, env, payload):
@@ -945,15 +975,9 @@ class TestWritingStdout:
 
 class TestArgparseThroughEntryPoint:
     """Help and the usage errors argparse answers itself leave through
-    ``entry_point`` too, in the default buffered mode: a line that cannot
-    be written is dropped, the exit code is argparse's, and help on a
-    working stream is flushed before the descriptors are retired."""
-
-    @pytest.fixture
-    def env(self):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["COLUMNS"] = "80"
-        return env
+    ``entry_point`` too, in both stdout modes: a line that cannot be
+    written is dropped, the exit code is argparse's, and help on a working
+    stream is flushed before the descriptors are retired."""
 
     def _run(self, env, *argv, **streams):
         return subprocess.run([sys.executable, "-m", "eigenschaft", *argv],
@@ -975,7 +999,8 @@ class TestArgparseThroughEntryPoint:
 
     def test_piped_help_is_the_parsers_help(self, env, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        proc = self._run(env, "--help", capture_output=True, text=True)
+        proc = self._run({**env, "COLUMNS": "80"}, "--help", capture_output=True,
+                         text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == cli.build_parser().format_help()
 
@@ -992,9 +1017,11 @@ class TestWritingStderr:
 
     def test_strict_refusal_keeps_its_report(self, capsys, monkeypatch, tmp_path,
                                              stderr):
+        argv = ("validate", _near_hadamard(tmp_path), "--strict")
+        _, report, _ = run_cli(capsys, *argv)
         monkeypatch.setattr(sys, "stderr", stderr)
-        code, out, _ = run_cli(capsys, "validate", _near_hadamard(tmp_path), "--strict")
-        assert code == 1
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (1, report)
         assert json.loads(out)["involution_residual"] > 1e-10
 
 
@@ -1194,6 +1221,27 @@ class TestRouting:
         routed = _parse_outcome(cli._parse, argv)
         assert routed == _parse_outcome(cli.build_parser().parse_args, argv)
         assert routed[0] in (0, 2)
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (["simulate", "--state", EQUAL_STATE, "--phases", "16", "--bogus"],
+         "eigenschaft: error: unrecognized arguments: --bogus"),
+        (["construct"],
+         "eigenschaft construct: error: the following arguments are required: builder"),
+    ], ids=["leftover-argument", "construct-alone"])
+    def test_usage_error_names_its_parser(self, capsys, argv, last_line):
+        """Pinned outright: a change made to both parsers passes the
+        comparison above."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == last_line
+
+    def test_help_prefix_is_the_top_level_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--he"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eigenschaft")
 
 
 class TestOneParse:
