@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, ShapeError
-from .linalg import MAX_MAGNITUDE, TOL_INV, as_int, as_real, as_scalars, freeze_fields
+from .linalg import (MAX_MAGNITUDE, TOL_INV, as_int, as_real, as_scalars,
+                     check_residual, freeze_fields)
 from .operators import EigenschaftOp, wrap_phase
 from .states import StateVector
 
@@ -235,16 +236,12 @@ def holographic_report(state: StateVector, cfg: InterferometerConfig,
     magnitudes (matching the recovery's ordering convention); the phase
     error is the wrapped difference of relative phases.
 
-    The fit's model holds only for a splitter with ``conj(H00) H01 = 1/2``
-    (within ``TOL_INV``); any other raises ``DomainError``.
+    The fit's model holds only for a splitter with ``conj(H00) H01 = 1/2``;
+    a gap past ``TOL_INV`` raises ``DomainError`` naming the gap.
     """
     h = cfg.splitter.matrix
-    gap = abs(complex(np.conj(h[0, 0]) * h[0, 1]) - 0.5)
-    if gap > TOL_INV:
-        raise DomainError(
-            f"holographic recovery needs the 50/50 splitter, conj(H00)*H01 "
-            f"= 1/2; this splitter is {gap:.3e} off, past {TOL_INV:g}"
-        )
+    check_residual(abs(complex(np.conj(h[0, 0]) * h[0, 1]) - 0.5), TOL_INV,
+                   "holographic recovery needs the 50/50 splitter, conj(H00)*H01 = 1/2")
     fringe = run_interferometer(state, cfg, rng_seed=seed)
     result = recover_state(fringe)
     a, b = state.amplitudes

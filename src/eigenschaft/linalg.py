@@ -3,7 +3,9 @@
 Matrix coercion, max-norm residuals (Hermiticity, unitarity, involution)
 and the package's one eigensolver for Hermitian matrices.  Everything in
 this module is a pure function of ``numpy`` arrays; matrices are dense,
-row-major, and small: an operator has at most ``MAX_DIM`` rows.
+row-major, and small: an operator has at most ``MAX_DIM`` rows.  Every
+gate of the package that holds a residual to a named bound refuses through
+``check_residual``: ``not Hermitian: residual 1.000e-07 exceeds 1e-10``.
 
 ``hermitian_eig`` is LAPACK's backward-stable Hermitian solver
 (``numpy.linalg.eigh``, ``zheevd``) between the package's own gates: the
@@ -128,19 +130,18 @@ def as_dim(n) -> int:
 
 
 def as_hermitian(a) -> np.ndarray:
-    """``as_square(a)``, its Hermiticity residual through :func:`check_hermitian`."""
+    """``as_square(a)``, its Hermiticity residual through :func:`check_residual`."""
     m = as_square(a)
-    check_hermitian(hermiticity_kernel(m))
+    check_residual(hermiticity_kernel(m), TOL_HERM, "not Hermitian")
     return m
 
 
-def check_hermitian(herm: float) -> None:
-    """Refuse a Hermiticity residual ``herm`` past ``TOL_HERM`` with
-    ``DomainError``."""
-    if herm > TOL_HERM:
-        raise DomainError(
-            f"not Hermitian: residual {herm:.3e} exceeds {TOL_HERM:g}"
-        )
+def check_residual(residual: float, bound: float, what: str,
+                   error=DomainError) -> None:
+    """Refuse ``residual`` with ``error`` unless it is at most ``bound``, so
+    NaN is refused too: ``{what}: residual 1.000e-07 exceeds 1e-10``."""
+    if not residual <= bound:
+        raise error(f"{what}: residual {residual:.3e} exceeds {bound:g}")
 
 
 def freeze_fields(obj, **fields) -> None:
@@ -228,7 +229,7 @@ def hermitian_eig(a) -> Spectrum:
     ConvergenceError
         If LAPACK reports no convergence, or the result fails the
         orthonormality or reconstruction check (which a non-finite result
-        always does).
+        always does); the message names the residual and its bound.
     """
     m = as_hermitian(a)
     h = (m + m.conj().T) / 2.0
@@ -237,14 +238,10 @@ def hermitian_eig(a) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    ortho = max_abs(eigenvectors.conj().T @ eigenvectors - np.eye(m.shape[0]))
-    if not ortho <= TOL_ORTHO:
-        raise ConvergenceError(
-            f"eigenvector orthonormality residual {ortho:.3e} exceeds tolerance"
-        )
-    recon = max_abs(m - (eigenvectors * eigenvalues) @ eigenvectors.conj().T)
-    if not recon <= TOL_RECON * max(1.0, max_abs(h)):
-        raise ConvergenceError(
-            f"spectral reconstruction residual {recon:.3e} exceeds tolerance"
-        )
+    vh = eigenvectors.conj().T
+    check_residual(max_abs(vh @ eigenvectors - np.eye(m.shape[0])), TOL_ORTHO,
+                   "eigenvector orthonormality", ConvergenceError)
+    check_residual(max_abs(m - (eigenvectors * eigenvalues) @ vh),
+                   TOL_RECON * max(1.0, max_abs(h)), "spectral reconstruction",
+                   ConvergenceError)
     return Spectrum(eigenvalues, eigenvectors)

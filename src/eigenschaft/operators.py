@@ -40,7 +40,7 @@ from .linalg import (
     as_real,
     as_scalars,
     as_square,
-    check_hermitian,
+    check_residual,
     freeze_fields,
     hermitian_eig,
     hermiticity_kernel,
@@ -105,7 +105,7 @@ def _trace_class(m: np.ndarray) -> tuple[complex, int, float]:
 
 
 def _check_dim(dim: int) -> None:
-    if dim > MAX_DIM:
+    if not dim <= MAX_DIM:
         raise ShapeError(f"dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
 
 
@@ -113,13 +113,11 @@ def check_operator(dim, hermiticity_residual, involution_residual, trace,
                    trace_class, trace_class_distance) -> None:
     """The operator gate, on the numbers ``validate`` reports: ``ShapeError``
     past ``MAX_DIM`` rows, then ``DomainError`` past ``TOL_HERM``, ``TOL_INV``
-    or ``TOL_SPECTRUM`` from ``trace_class``, in that order."""
+    or ``TOL_SPECTRUM`` from ``trace_class``, in that order, NaN included."""
     _check_dim(dim)
-    check_hermitian(hermiticity_residual)
-    if involution_residual > TOL_INV:
-        raise DomainError(f"not an involution: residual "
-                          f"{involution_residual:.3e} exceeds {TOL_INV:g}")
-    if trace_class_distance > TOL_SPECTRUM:
+    check_residual(hermiticity_residual, TOL_HERM, "not Hermitian")
+    check_residual(involution_residual, TOL_INV, "not an involution")
+    if not trace_class_distance <= TOL_SPECTRUM:
         raise DomainError(f"trace {trace!r} is {trace_class_distance:.3e} away "
                           f"from the nearest admissible trace class {trace_class}")
 
@@ -164,10 +162,10 @@ class EigenschaftOp:
         return cls(m)
 
 
-def _first_orthogonality_failure(stack) -> tuple[int, int] | None:
+def _first_orthogonality_failure(stack) -> tuple[int, int, float] | None:
     """First pair ``(i, j)``, ``i < j``, in row-major order with
-    ``max_abs(P_i @ P_j) > TOL_INV``, or None, for members stacked as one
-    ``(n, n, n)`` array.
+    ``max_abs(P_i @ P_j) > TOL_INV``, and that product, or None, for members
+    stacked as one ``(n, n, n)`` array.
 
     Each member is read as ``v_k v_k^dag + E_k``, with ``v_k`` its
     largest-diagonal column scaled to unit length.  With ``e_k = max|E_k|``,
@@ -191,8 +189,9 @@ def _first_orthogonality_failure(stack) -> tuple[int, int] | None:
     bound = (np.abs(v.conj() @ v.T) * (m * m.T)
              + n * (e * mm.T + mm * e.T + e * e.T))
     for i, j in zip(*np.nonzero(np.triu(bound > TOL_INV / 2.0, k=1))):
-        if max_abs(stack[i] @ stack[j]) > TOL_INV:
-            return int(i), int(j)
+        product = max_abs(stack[i] @ stack[j])
+        if not product <= TOL_INV:
+            return int(i), int(j), product
     return None
 
 
@@ -205,16 +204,18 @@ class ProjectorSet:
     the identity), which together force exactly ``dim`` members.
 
     The members are stacked once into one ``(n, n, n)`` array, and the
-    three member gates run as batched reductions over it.  A refusal names
-    the first failing member and, within it, the first failing gate in the
-    order Hermitian, idempotent, rank one.
+    three member residuals, ``max_abs(P - P^dag)``, ``max_abs(P @ P - P)``
+    and ``|tr P - 1|`` against ``TOL_HERM``, ``TOL_INV`` and ``TOL_SPECTRUM``,
+    are batched reductions over it.  A refusal names the first failing
+    member and, within it, the first failing gate in that order.
 
     Orthogonality (``max_abs(P_i @ P_j) <= TOL_INV`` for every pair) is
     screened through the unit frame read off the members, with one Gram
     product and an entrywise bound per pair; a pair is multiplied out only
     when its bound does not clear the gate.  A sound family thus costs
     O(n^3) for orthogonality instead of n(n-1)/2 products, and a failing
-    one gets the exact product and the same message as a pairwise check.
+    one gets the exact product and the same pair as a pairwise check.
+    Each refusal names its residual and bound (``check_residual``).
 
     ``projectors`` is that stack, read-only, each member bit for bit as
     given; iterating, indexing, ``len`` and ``sum`` read it member by
@@ -239,24 +240,24 @@ class ProjectorSet:
                 f"{n} members, got {len(mats)}"
             )
         stack = np.stack(mats)
-        failing = np.array([
-            np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-            > TOL_HERM,
-            np.abs(stack @ stack - stack).max(axis=(1, 2)) > TOL_INV,
-            np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) > TOL_SPECTRUM,
+        residuals = np.array([
+            np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+            np.abs(stack @ stack - stack).max(axis=(1, 2)),
+            np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0),
         ])
-        if failing.any():
-            i = int(np.argmax(failing.any(axis=0)))
-            noun = ("Hermitian", "idempotent", "rank one")[
-                int(np.argmax(failing[:, i]))]
-            raise DomainError(f"projector {i} is not {noun}")
-        pair = _first_orthogonality_failure(stack)
-        if pair is not None:
-            raise DomainError(
-                f"projectors {pair[0]} and {pair[1]} are not orthogonal"
-            )
-        if max_abs(stack.sum(axis=0) - np.eye(n)) > TOL_INV:
-            raise DomainError("projectors do not resolve the identity")
+        bounds = (TOL_HERM, TOL_INV, TOL_SPECTRUM)
+        # The first member that fails a gate; member 0 if none does.
+        i = int(np.argmin((residuals <= np.array(bounds)[:, None]).all(axis=0)))
+        for noun, residual, bound in zip(("Hermitian", "idempotent", "rank one"),
+                                         residuals[:, i].tolist(), bounds):
+            check_residual(residual, bound, f"projector {i} is not {noun}")
+        failure = _first_orthogonality_failure(stack)
+        if failure is not None:
+            i, j, product = failure
+            check_residual(product, TOL_INV,
+                           f"projectors {i} and {j} are not orthogonal")
+        check_residual(max_abs(stack.sum(axis=0) - np.eye(n)), TOL_INV,
+                       "projectors do not resolve the identity")
         freeze_fields(self, projectors=stack)
 
     @property

@@ -631,8 +631,8 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err == ("error: holographic recovery needs the 50/50 splitter, "
-                       "conj(H00)*H01 = 1/2; this splitter is 6.699e-02 off, "
-                       "past 1e-10\n")
+                       "conj(H00)*H01 = 1/2: residual 6.699e-02 exceeds "
+                       "1e-10\n")
 
         code, out, _ = run_cli(capsys, *args, "--fringes")
         assert code == 0

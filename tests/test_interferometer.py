@@ -452,8 +452,8 @@ class TestHolographicReport:
         with pytest.raises(DomainError) as exc:
             holographic_report(state, config(32, splitter=splitter))
         assert str(exc.value) == (
-            "holographic recovery needs the 50/50 splitter, conj(H00)*H01 = 1/2; "
-            f"this splitter is {gap:.3e} off, past 1e-10"
+            "holographic recovery needs the 50/50 splitter, conj(H00)*H01 = 1/2: "
+            f"residual {gap:.3e} exceeds 1e-10"
         )
         # The fringe itself is still recorded for any splitter.
         run_interferometer(state, config(32, splitter=splitter))

@@ -25,6 +25,7 @@ from eigenschaft.linalg import (
     as_dim,
     as_hermitian,
     as_square,
+    check_residual,
     freeze_fields,
     hermitian_eig,
     hermiticity_residual,
@@ -88,6 +89,19 @@ class TestAsHermitian:
         with pytest.raises(DomainError) as exc:
             door(self.SKEW)
         assert str(exc.value) == "not Hermitian: residual 1.000e-07 exceeds 1e-10"
+
+
+class TestCheckResidual:
+    """``check_residual``, the one refusal of a residual past its bound;
+    ``TestCheckOperator`` checks it at and just past each bound."""
+
+    @pytest.mark.parametrize("error", [DomainError, ConvergenceError])
+    def test_refuses_nan_with_its_error(self, error):
+        with pytest.raises(error) as exc:
+            check_residual(float("nan"), 1e-10, "eigenvector orthonormality", error)
+        assert type(exc.value) is error
+        assert str(exc.value) == (
+            "eigenvector orthonormality: residual nan exceeds 1e-10")
 
 
 class TestOneCoercionPerDoor:
@@ -386,9 +400,11 @@ class TestHermitianEig:
 
         m = np.diag([1.0, 2.0, 3.0])
         monkeypatch.setattr(np.linalg, "eigh", reversed_spectrum)
-        with pytest.raises(ConvergenceError,
-                           match="spectral reconstruction residual"):
+        with pytest.raises(ConvergenceError) as exc:
             hermitian_eig(m)
+        # The bound is TOL_RECON scaled by the input's magnitude, 3.
+        assert str(exc.value) == (
+            "spectral reconstruction: residual 2.000e+00 exceeds 3e-10")
 
 
 class TestUnitarySelfAdjointTheorem:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,22 +66,26 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 def pairwise_verdict(projectors):
     """Reference for ``ProjectorSet`` validation: every member, then every
     pair ``(i, j)`` multiplied out in row-major order, then completeness.
-    Returns the message of the first failing gate, or None."""
+    Returns the first failing gate as ``(what, residual, bound)``, whose
+    message is ``{what}: residual {residual:.3e} exceeds {bound:g}``, or
+    None."""
     mats = [as_square(p) for p in projectors]
     n = mats[0].shape[0]
     for i, p in enumerate(mats):
-        if hermiticity_residual(p) > TOL_HERM:
-            return f"projector {i} is not Hermitian"
-        if max_abs(p @ p - p) > TOL_INV:
-            return f"projector {i} is not idempotent"
-        if abs(complex(np.trace(p)) - 1.0) > 1e-8:
-            return f"projector {i} is not rank one"
+        for what, residual, bound in (
+                ("Hermitian", hermiticity_residual(p), TOL_HERM),
+                ("idempotent", max_abs(p @ p - p), TOL_INV),
+                ("rank one", abs(complex(np.trace(p)) - 1.0), TOL_SPECTRUM)):
+            if residual > bound:
+                return f"projector {i} is not {what}", residual, bound
     for i in range(n):
         for j in range(i + 1, n):
-            if max_abs(mats[i] @ mats[j]) > TOL_INV:
-                return f"projectors {i} and {j} are not orthogonal"
-    if max_abs(sum(mats) - np.eye(n)) > TOL_INV:
-        return "projectors do not resolve the identity"
+            product = max_abs(mats[i] @ mats[j])
+            if product > TOL_INV:
+                return f"projectors {i} and {j} are not orthogonal", product, TOL_INV
+    completeness = max_abs(sum(mats) - np.eye(n))
+    if completeness > TOL_INV:
+        return "projectors do not resolve the identity", completeness, TOL_INV
     return None
 
 
@@ -109,10 +114,17 @@ def pairwise_table(family):
 
 
 def library_verdict(projectors):
-    try:
-        ProjectorSet(tuple(projectors))
-    except DomainError as exc:
-        return str(exc)
+    """``ProjectorSet``'s refusal as ``(what, residual, bound)``, the
+    arguments of the ``check_residual`` call that raised, after checking
+    that its message is made of them; or None."""
+    with mock.patch.object(operators, "check_residual",
+                           wraps=linalg.check_residual) as gate:
+        try:
+            ProjectorSet(tuple(projectors))
+        except DomainError as exc:
+            residual, bound, what = gate.call_args.args
+            assert str(exc) == f"{what}: residual {residual:.3e} exceeds {bound:g}"
+            return what, residual, bound
     return None
 
 
@@ -253,7 +265,7 @@ class TestEigenschaftOp:
 
         def no_residual(*args):
             raise AssertionError("a residual was computed")
-        for name in ("check_hermitian", "hermiticity_kernel", "involution_kernel"):
+        for name in ("check_residual", "hermiticity_kernel", "involution_kernel"):
             monkeypatch.setattr(operators, name, no_residual)
             monkeypatch.setattr(linalg, name, no_residual)
         with pytest.raises(ShapeError) as exc:
@@ -270,17 +282,21 @@ class TestEigenschaftOp:
 ADMITTED = dict(dim=2, hermiticity_residual=0.0, involution_residual=0.0,
                 trace=0j, trace_class=0, trace_class_distance=0.0)
 #: Each gate, in the order the gate checks them: the field it reads, its
-#: bound, the first value past it, and the error it raises there.
+#: bound, the first value past it, the error it raises there, and its
+#: message there and at NaN.
 GATES = {
     "cap": ("dim", MAX_DIM, MAX_DIM + 1, ShapeError,
-            "dimension 65 exceeds MAX_DIM = 64"),
+            "dimension 65 exceeds MAX_DIM = 64", "dimension nan exceeds MAX_DIM = 64"),
     "hermitian": ("hermiticity_residual", TOL_HERM, np.nextafter(TOL_HERM, np.inf),
-                  DomainError, "not Hermitian: residual 1.000e-10 exceeds 1e-10"),
+                  DomainError, "not Hermitian: residual 1.000e-10 exceeds 1e-10",
+                  "not Hermitian: residual nan exceeds 1e-10"),
     "involution": ("involution_residual", TOL_INV, np.nextafter(TOL_INV, np.inf),
-                   DomainError, "not an involution: residual 1.000e-10 exceeds 1e-10"),
+                   DomainError, "not an involution: residual 1.000e-10 exceeds 1e-10",
+                   "not an involution: residual nan exceeds 1e-10"),
     "trace": ("trace_class_distance", TOL_SPECTRUM, np.nextafter(TOL_SPECTRUM, np.inf),
               DomainError,
-              "trace 0j is 1.000e-08 away from the nearest admissible trace class 0"),
+              "trace 0j is 1.000e-08 away from the nearest admissible trace class 0",
+              "trace 0j is nan away from the nearest admissible trace class 0"),
 }
 
 
@@ -307,9 +323,15 @@ class TestCheckOperator:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_admits_each_number_at_its_bound(self, gate):
-        field, bound, past, error, message = GATES[gate]
+        field, bound, past, error, message, _ = GATES[gate]
         check_operator(**{**ADMITTED, field: bound})
         assert verdict(check_operator, **{**ADMITTED, field: past}) == (error, message)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_refuses_nan_at_each_gate(self, gate):
+        field, _, _, error, _, message = GATES[gate]
+        numbers = {**ADMITTED, field: math.nan}
+        assert verdict(check_operator, **numbers) == (error, message)
 
     @pytest.mark.parametrize("failing", [
         failing for k in range(2, len(GATES) + 1)
@@ -317,9 +339,9 @@ class TestCheckOperator:
     def test_refuses_with_the_first_failing_gate(self, failing):
         numbers = dict(ADMITTED)
         for gate in failing:
-            field, _, past, _, _ = GATES[gate]
+            field, _, past, _, _, _ = GATES[gate]
             numbers[field] = past
-        _, _, _, error, message = GATES[failing[0]]
+        _, _, _, error, message, _ = GATES[failing[0]]
         assert verdict(check_operator, **numbers) == (error, message)
 
     @pytest.mark.parametrize("m, refused", [
@@ -652,26 +674,38 @@ class TestProjectorSetMatchesPairwise:
 
     @staticmethod
     def check(projectors):
+        """The library's message, after checking that it names the
+        reference's gate, member or pair, and bound, and a residual within
+        1e-15 of the reference's (completeness sums in another order)."""
         want = pairwise_verdict(projectors)
-        assert library_verdict(projectors) == want
-        return want
+        got = library_verdict(projectors)
+        if want is None:
+            assert got is None
+            return None
+        assert got is not None
+        assert (got[0], got[2]) == (want[0], want[2])
+        assert abs(got[1] - want[1]) <= 1e-15
+        return f"{got[0]}: residual {got[1]:.3e} exceeds {got[2]:g}"
 
     def test_duplicated_member(self):
         p0, p1 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
-        assert self.check([p0, p1, p1]) == "projectors 1 and 2 are not orthogonal"
+        assert self.check([p0, p1, p1]) == (
+            "projectors 1 and 2 are not orthogonal: residual 1.000e+00 exceeds 1e-10")
         # Pairs (0, 3) and (1, 2) both fail; row-major order names (0, 3).
         q0, q1 = np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0])
-        assert self.check([q0, q1, q1, q0]) == "projectors 0 and 3 are not orthogonal"
+        assert self.check([q0, q1, q1, q0]) == (
+            "projectors 0 and 3 are not orthogonal: residual 1.000e+00 exceeds 1e-10")
 
     def test_rank_two_member(self):
         assert self.check([np.diag([1.0, 1.0]), np.diag([0.0, 0.0])]) == (
-            "projector 0 is not rank one")
+            "projector 0 is not rank one: residual 1.000e+00 exceeds 1e-08")
 
     def test_non_hermitian_member(self):
         mats = frame_projectors(haar_unitary(4, np.random.default_rng(60)))
         mats[2] = mats[2].copy()
         mats[2][0, 1] += 1e-9
-        assert self.check(mats) == "projector 2 is not Hermitian"
+        assert self.check(mats) == (
+            "projector 2 is not Hermitian: residual 1.000e-09 exceeds 1e-10")
 
     def test_planted_idempotence_error(self):
         rng = np.random.default_rng(61)
@@ -679,7 +713,8 @@ class TestProjectorSetMatchesPairwise:
         x = random_hermitian(5, rng)
         x -= np.trace(x) / 5 * np.eye(5)
         mats[3] = mats[3] + 1e-9 * x / max_abs(x)
-        assert self.check(mats) == "projector 3 is not idempotent"
+        assert self.check(mats) == (
+            "projector 3 is not idempotent: residual 5.716e-10 exceeds 1e-10")
 
     def test_first_failing_member_is_named(self):
         """Member 1 (Hermitian with unit trace) is not idempotent and member
@@ -689,18 +724,20 @@ class TestProjectorSetMatchesPairwise:
         mats[1] = 1.5 * mats[1] - np.eye(4) / 8
         mats[2] = mats[2].copy()
         mats[2][0, 1] += 1e-9
-        assert self.check(mats) == "projector 1 is not idempotent"
+        assert self.check(mats) == (
+            "projector 1 is not idempotent: residual 3.211e-01 exceeds 1e-10")
 
     def test_hermiticity_is_checked_before_idempotency(self):
         mats = frame_projectors(haar_unitary(3, np.random.default_rng(65)))
         mats[0] = mats[0] + np.triu(np.full((3, 3), 1e-3), k=1)
         assert max_abs(mats[0] @ mats[0] - mats[0]) > TOL_INV
-        assert self.check(mats) == "projector 0 is not Hermitian"
+        assert self.check(mats) == (
+            "projector 0 is not Hermitian: residual 1.000e-03 exceeds 1e-10")
 
     def test_member_gates_come_before_orthogonality(self):
         p = np.diag([1.0, 0.0, 0.0])
         assert self.check([p, p, np.diag([0.0, 1.0, 1.0])]) == (
-            "projector 2 is not rank one")
+            "projector 2 is not rank one: residual 1.000e+00 exceeds 1e-08")
 
     def test_sound_frames(self):
         rng = np.random.default_rng(62)
@@ -939,6 +976,23 @@ class TestProjectorsHermitianToTheBit:
 
 
 class TestComplementFamily:
+    def test_admitted_set_can_have_refused_flips(self):
+        """README's known defect: the set's gates admit an idempotence
+        residual of 6e-11, and ``(I - 2P)^2 - I = 4 (P^2 - P)`` makes the
+        flip's involution residual four times that, past ``TOL_INV``."""
+        ps = ProjectorSet((np.diag([1 + 6e-11, 0.0]), np.diag([-6e-11, 1.0])))
+        for flip in (lambda: complement_family(ps),
+                     lambda: from_projector_flip(ps, [-1, 1])):
+            with pytest.raises(DomainError) as exc:
+                flip()
+            assert str(exc.value) == (
+                "not an involution: residual 2.400e-10 exceeds 1e-10")
+        p = ps.projectors[0]
+        idempotence = max_abs(p @ p - p)
+        assert idempotence == pytest.approx(6e-11, rel=1e-7)
+        assert involution_residual(np.eye(2) - 2.0 * p) == pytest.approx(
+            4.0 * idempotence, rel=1e-12)
+
     def test_dim3_standard_basis(self):
         fam = complement_family(ProjectorSet.standard_basis(3))
         expected = [np.diag(d) for d in ([-1.0, 1, 1], [1, -1.0, 1], [1, 1, -1.0])]
